@@ -39,6 +39,23 @@ module Truth = struct
   let wifi_data_bits = 96
 end
 
+(* Kernel registration runs once per process.  Registering on every
+   constructor call would rebuild every closure (pulse Doppler alone
+   has 1,280) and would silently replace any kernel a caller installed
+   with [Kernels.register_object].  The guard is a mutex rather than a
+   shared [Lazy]: constructors run on several domains (parallel sweeps,
+   service mode), and forcing one lazy from two domains at once is
+   undefined. *)
+let once f =
+  let m = Mutex.create () and fired = Atomic.make false in
+  fun () ->
+    if not (Atomic.get fired) then
+      Mutex.protect m (fun () ->
+          if not (Atomic.get fired) then begin
+            f ();
+            Atomic.set fired true
+          end)
+
 (* ------------------------------------------------------------------ *)
 (* Variable-spec helpers                                               *)
 (* ------------------------------------------------------------------ *)
@@ -112,7 +129,8 @@ let rd_fft_kernel ~src ~dst store args =
   let x = Store.get_cbuf store src in
   Store.set_cbuf store dst (Fft.fft (pad_to Truth.rd_fft_size x))
 
-let register_range_detection_kernels () =
+let register_range_detection_kernels =
+  once @@ fun () ->
   let open Kernels in
   let lfm store _args =
     let n = Store.get_i32 store "n_samples" in
@@ -212,7 +230,8 @@ let pd_store_slice store name p buf =
 let pd_reference () =
   Radar.lfm_chirp ~n:Truth.pd_n_samples ~bandwidth:0.4e6 ~sample_rate:1.0e6
 
-let register_pulse_doppler_kernels () =
+let register_pulse_doppler_kernels =
+  once @@ fun () ->
   let open Kernels in
   let n = Truth.pd_n_samples and m = Truth.pd_n_pulses in
   let gen store _args =
@@ -397,7 +416,8 @@ let tx_chain payload =
   let symbols = Modulation.modulate Modulation.Qpsk interleaved in
   Fft.ifft (pilot_insert symbols)
 
-let register_wifi_kernels () =
+let register_wifi_kernels =
+  once @@ fun () ->
   let open Kernels in
   (* --- TX --- *)
   let crc store _ =

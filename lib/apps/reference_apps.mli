@@ -4,7 +4,8 @@
     chains (Fig. 7).
 
     Every builder registers the kernels it needs in the {!Kernels}
-    registry (idempotently) and returns a validated archetype whose
+    registry, once per process (so a kernel a caller later replaces
+    with {!Kernels.register_object} stays replaced), and returns a validated archetype whose
     task counts match Table I: range detection 6, pulse Doppler 770,
     WiFi TX 7, WiFi RX 9.
 

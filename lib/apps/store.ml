@@ -67,9 +67,8 @@ let get_cbuf t name =
   let n = Bytes.length data / 8 in
   let buf = Cbuf.create n in
   for i = 0 to n - 1 do
-    Cbuf.set buf i
-      (Int32.float_of_bits (Bytes.get_int32_le data (8 * i)))
-      (Int32.float_of_bits (Bytes.get_int32_le data ((8 * i) + 4)))
+    buf.Cbuf.re.(i) <- Int32.float_of_bits (Bytes.get_int32_le data (8 * i));
+    buf.Cbuf.im.(i) <- Int32.float_of_bits (Bytes.get_int32_le data ((8 * i) + 4))
   done;
   buf
 
@@ -79,9 +78,8 @@ let set_cbuf t name buf =
   if 8 * n > Bytes.length data then
     invalid_arg (Printf.sprintf "Store.set_cbuf: %S overflows its block" name);
   for i = 0 to n - 1 do
-    let re, im = Cbuf.get buf i in
-    Bytes.set_int32_le data (8 * i) (Int32.bits_of_float re);
-    Bytes.set_int32_le data ((8 * i) + 4) (Int32.bits_of_float im)
+    Bytes.set_int32_le data (8 * i) (Int32.bits_of_float buf.Cbuf.re.(i));
+    Bytes.set_int32_le data ((8 * i) + 4) (Int32.bits_of_float buf.Cbuf.im.(i))
   done
 
 let get_cbuf_slice t name ~off ~len =
@@ -91,9 +89,8 @@ let get_cbuf_slice t name ~off ~len =
   let buf = Cbuf.create len in
   for i = 0 to len - 1 do
     let base = 8 * (off + i) in
-    Cbuf.set buf i
-      (Int32.float_of_bits (Bytes.get_int32_le data base))
-      (Int32.float_of_bits (Bytes.get_int32_le data (base + 4)))
+    buf.Cbuf.re.(i) <- Int32.float_of_bits (Bytes.get_int32_le data base);
+    buf.Cbuf.im.(i) <- Int32.float_of_bits (Bytes.get_int32_le data (base + 4))
   done;
   buf
 
@@ -103,10 +100,9 @@ let set_cbuf_slice t name ~off buf =
   if off < 0 || 8 * (off + n) > Bytes.length data then
     invalid_arg (Printf.sprintf "Store.set_cbuf_slice: slice out of range for %S" name);
   for i = 0 to n - 1 do
-    let re, im = Cbuf.get buf i in
     let base = 8 * (off + i) in
-    Bytes.set_int32_le data base (Int32.bits_of_float re);
-    Bytes.set_int32_le data (base + 4) (Int32.bits_of_float im)
+    Bytes.set_int32_le data base (Int32.bits_of_float buf.Cbuf.re.(i));
+    Bytes.set_int32_le data (base + 4) (Int32.bits_of_float buf.Cbuf.im.(i))
   done
 
 let get_bits t name =

@@ -27,7 +27,7 @@ type task_exec = {
 type t = {
   a_tasks : task_exec array;  (* completion order *)
   a_makespan_ns : int;
-  a_inject_ns : (int * int) list;  (* instance -> injection time *)
+  a_inject_ns : (int, int) Hashtbl.t;  (* instance -> first injection time *)
 }
 
 (* Mutable accumulator for a task whose completion has not been seen
@@ -38,6 +38,35 @@ type pending = {
   mutable p_dispatched : int;
   mutable p_dma : int;
 }
+
+(* Attribute each fabric stall to the task occupying that PE when the
+   stream was admitted (its DMA phase is what queued): a task is
+   charged every stall on its PE admitted in [dispatched, completed].
+   The stalls are sorted by (PE, admission time) with prefix sums of
+   their durations, so each task costs two binary searches. *)
+let attribute_stalls stalls arr =
+  let key_lt (t1, pe1, _) pe2 t2 = pe1 < pe2 || (pe1 = pe2 && t1 < t2) in
+  let a = Array.of_list stalls in
+  Array.sort
+    (fun (t1, pe1, _) (t2, pe2, _) -> if pe1 <> pe2 then Int.compare pe1 pe2 else Int.compare t1 t2)
+    a;
+  let prefix = Array.make (Array.length a + 1) 0 in
+  Array.iteri (fun k (_, _, stall_ns) -> prefix.(k + 1) <- prefix.(k) + stall_ns) a;
+  (* first index whose key is >= (pe_index, t) *)
+  let lower_bound pe_index t =
+    let lo = ref 0 and hi = ref (Array.length a) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if key_lt a.(mid) pe_index t then lo := mid + 1 else hi := mid
+    done;
+    !lo
+  in
+  Array.map
+    (fun x ->
+      let lo = lower_bound x.x_pe_index x.x_dispatched_ns
+      and hi = lower_bound x.x_pe_index (x.x_completed_ns + 1) in
+      if hi <= lo then x else { x with x_stall_ns = prefix.(hi) - prefix.(lo) })
+    arr
 
 let of_events events =
   let pend : (int, pending) Hashtbl.t = Hashtbl.create 64 in
@@ -50,14 +79,13 @@ let of_events events =
         p
   in
   let tasks = Vec.create () in
-  let injects = ref [] in
+  let injects = Hashtbl.create 16 in
   let stalls = ref [] in
   List.iter
     (fun { Obs.t_ns; body } ->
       match body with
       | Obs.Instance_injected { instance; _ } ->
-          if not (List.mem_assoc instance !injects) then
-            injects := (instance, t_ns) :: !injects
+          if not (Hashtbl.mem injects instance) then Hashtbl.replace injects instance t_ns
       | Obs.Task_ready { task; _ } -> (pending_of task).p_ready <- t_ns
       | Obs.Task_dispatched { task; _ } -> (pending_of task).p_dispatched <- t_ns
       | Obs.Phase { task; phase = Obs.Dma_in | Obs.Dma_out; dur_ns; _ } ->
@@ -85,33 +113,16 @@ let of_events events =
       | _ -> ())
     events;
   let arr = Vec.to_array tasks in
-  (* Attribute each fabric stall to the task occupying that PE when the
-     stream was admitted (its DMA phase is what queued). *)
-  let arr =
-    if !stalls = [] then arr
-    else
-      Array.map
-        (fun x ->
-          let s =
-            List.fold_left
-              (fun acc (t, pe_index, stall_ns) ->
-                if
-                  pe_index = x.x_pe_index && t >= x.x_dispatched_ns
-                  && t <= x.x_completed_ns
-                then acc + stall_ns
-                else acc)
-              0 !stalls
-          in
-          if s = 0 then x else { x with x_stall_ns = s })
-        arr
-  in
+  let arr = if !stalls = [] then arr else attribute_stalls !stalls arr in
   (* The engine reports its makespan as the WM-observed completion of
      the last instance, which trails the last task completion by the
      final sweep's overhead charge.  The last event in the log — the
      WM tick of that sweep — carries exactly that time, so "latest
      event" reproduces the reported makespan. *)
-  let makespan = List.fold_left (fun acc (e : Obs.event) -> max acc e.Obs.t_ns) 0 events in
-  { a_tasks = arr; a_makespan_ns = makespan; a_inject_ns = List.rev !injects }
+  let makespan =
+    List.fold_left (fun acc (e : Obs.event) -> if e.Obs.t_ns > acc then e.Obs.t_ns else acc) 0 events
+  in
+  { a_tasks = arr; a_makespan_ns = makespan; a_inject_ns = injects }
 
 let tasks t = Array.to_list t.a_tasks
 let makespan_ns t = t.a_makespan_ns
@@ -229,7 +240,7 @@ let critical_path t =
     in
     back !best;
     let inject_ns inst =
-      match List.assoc_opt inst t.a_inject_ns with Some v -> v | None -> 0
+      match Hashtbl.find_opt t.a_inject_ns inst with Some v -> v | None -> 0
     in
     let slack_of i edge pred =
       let x = tsk i in

@@ -1107,12 +1107,10 @@ let run_detailed ?(obs = Obs.disabled) plan (params : Core.params) =
         add_job 0 wm_th cost
       end
     end
-  (* The reference scans its whole <= [sched_window] window, but an
-     assignment can only ever land on an idle PE and every other
-     per-entry computation is scratch — so once the idle budget is
-     exhausted the rest of the walk is unobservable (RANDOM included:
-     its candidate list, and hence any PRNG draw, is idle-gated).
-     Breaking early there is exact. *)
+  (* The lowered form of [Scheduler.scan]: stop once the idle budget
+     is spent and charge [nready * n_pes] ops as a full walk would.
+     Why the stop is exact: DESIGN.md §9, "stop at the idle budget,
+     count the rest". *)
   and run_policy nready n_idle0 =
     let emit (t : Task.t) i =
       if Array.length !as_task = 0 then as_task := Array.make (max 1 n_pes) t;

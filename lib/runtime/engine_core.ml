@@ -532,6 +532,7 @@ let workload_manager ?(obs = Obs.disabled) ?(fault = Fault.disabled) ?service
       handlers
   in
   let ready_scratch = ref [||] in
+  let estimate task i = Exec_model.lookup est_table task i in
   (* One scheduling invocation: snapshot the ready window, run the
      policy, account its cost, dispatch the selected tasks.  Invoked
      after every task completion and after every injection burst, as
@@ -553,16 +554,16 @@ let workload_manager ?(obs = Obs.disabled) ?(fault = Fault.disabled) ?service
       let nready =
         let taken = ref 0 in
         (try
-           Seq.iter
+           Queue.iter
              (fun t ->
                if t.Task.status = Task.Ready then begin
                  if Array.length !ready_scratch = 0 then
                    ready_scratch := Array.make sched_window t;
                  !ready_scratch.(!taken) <- t;
                  incr taken;
-                 if !taken >= sched_window then raise Exit
+                 if !taken >= sched_window then raise_notrace Exit
                end)
-             (Queue.to_seq ready)
+             ready
          with Exit -> ());
         !taken
       in
@@ -580,7 +581,7 @@ let workload_manager ?(obs = Obs.disabled) ?(fault = Fault.disabled) ?service
           ready = !ready_scratch;
           nready;
           pes = pes_scratch;
-          estimate = (fun task i -> Exec_model.lookup est_table task i);
+          estimate;
           prng;
           ops = 0;
         }

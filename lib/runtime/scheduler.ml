@@ -25,61 +25,66 @@ type assignment = { task : Task.t; pe_index : int }
 
 type policy = { name : string; schedule : context -> assignment list }
 
-(* The ready window lives in a scratch array the engine reuses across
-   invocations; only entries [0, nready) are meaningful. *)
-let iter_ready f ctx =
-  for j = 0 to ctx.nready - 1 do
-    f ctx.ready.(j)
-  done
-
 (* ------------------------------------------------------------------ *)
 (* Built-ins                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* The window scan the built-ins share.  [pick task] returns the PE it
+   chose for [task], or -1; the task is assigned when that PE is idle
+   (EFT also picks busy PEs, to reserve them).  A built-in assigns only
+   idle PEs and everything else [pick] touches is per-invocation
+   scratch, so once no idle PE remains the rest of the window cannot
+   change the result and the scan stops there.  [ops] is still charged
+   as a walk of the whole window, [nready * n_pes] examinations (see
+   DESIGN.md §9, "stop at the idle budget, count the rest"). *)
+let scan ctx pick =
+  let pes = ctx.pes in
+  let n_idle = ref 0 in
+  for i = 0 to Array.length pes - 1 do
+    if pes.(i).idle then incr n_idle
+  done;
+  let out = ref [] and j = ref 0 in
+  while !j < ctx.nready && !n_idle > 0 do
+    let task = ctx.ready.(!j) in
+    let i = pick task in
+    if i >= 0 && pes.(i).idle then begin
+      pes.(i).idle <- false;
+      decr n_idle;
+      out := { task; pe_index = i } :: !out
+    end;
+    incr j
+  done;
+  ctx.ops <- ctx.ops + (ctx.nready * Array.length pes);
+  List.rev !out
+
 let frfs =
   let schedule ctx =
-    let out = ref [] in
-    iter_ready
-      (fun task ->
-        let chosen = ref None in
-        Array.iteri
-          (fun i st ->
-            ctx.ops <- ctx.ops + 1;
-            if !chosen = None && st.idle && Task.supports task st.pe then chosen := Some i)
-          ctx.pes;
-        match !chosen with
-        | Some i ->
-          ctx.pes.(i).idle <- false;
-          out := { task; pe_index = i } :: !out
-        | None -> ())
-      ctx;
-    List.rev !out
+    scan ctx (fun task ->
+        let chosen = ref (-1) and i = ref 0 in
+        while !chosen < 0 && !i < Array.length ctx.pes do
+          let st = ctx.pes.(!i) in
+          if st.idle && Task.supports task st.pe then chosen := !i;
+          incr i
+        done;
+        !chosen)
   in
   { name = "FRFS"; schedule }
 
 let met =
   let schedule ctx =
-    let out = ref [] in
-    iter_ready
-      (fun task ->
-        let best = ref None in
-        Array.iteri
-          (fun i st ->
-            ctx.ops <- ctx.ops + 1;
-            if st.idle && Task.supports task st.pe then begin
-              let est = ctx.estimate task i in
-              match !best with
-              | Some (_, best_est) when best_est <= est -> ()
-              | _ -> best := Some (i, est)
-            end)
-          ctx.pes;
-        match !best with
-        | Some (i, _) ->
-          ctx.pes.(i).idle <- false;
-          out := { task; pe_index = i } :: !out
-        | None -> ())
-      ctx;
-    List.rev !out
+    scan ctx (fun task ->
+        let best = ref (-1) and best_est = ref 0 in
+        for i = 0 to Array.length ctx.pes - 1 do
+          let st = ctx.pes.(i) in
+          if st.idle && Task.supports task st.pe then begin
+            let est = ctx.estimate task i in
+            if !best < 0 || est < !best_est then begin
+              best := i;
+              best_est := est
+            end
+          end
+        done;
+        !best)
   in
   { name = "MET"; schedule }
 
@@ -91,85 +96,64 @@ let eft =
        *reserves* it (pushing the availability horizon) and stays in
        the ready list — the "wait for the better PE" behaviour that
        distinguishes EFT from MET. *)
-    let avail = Array.map (fun st -> if st.idle then ctx.now else st.busy_until) ctx.pes in
-    let out = ref [] in
-    iter_ready
-      (fun task ->
-        let best = ref None in
-        Array.iteri
-          (fun i st ->
-            ctx.ops <- ctx.ops + 1;
-            if st.available && Task.supports task st.pe then begin
-              let finish = max ctx.now avail.(i) + ctx.estimate task i in
-              match !best with
-              | Some (_, best_finish) when best_finish <= finish -> ()
-              | _ -> best := Some (i, finish)
-            end)
-          ctx.pes;
-        match !best with
-        | None -> ()
-        | Some (i, finish) ->
-          avail.(i) <- finish;
-          if ctx.pes.(i).idle then begin
-            ctx.pes.(i).idle <- false;
-            out := { task; pe_index = i } :: !out
-          end)
-      ctx;
-    List.rev !out
+    let now = ctx.now in
+    let avail = Array.map (fun st -> if st.idle then now else st.busy_until) ctx.pes in
+    scan ctx (fun task ->
+        let best = ref (-1) and best_finish = ref 0 in
+        for i = 0 to Array.length ctx.pes - 1 do
+          let st = ctx.pes.(i) in
+          if st.available && Task.supports task st.pe then begin
+            let a = avail.(i) in
+            let finish = (if a > now then a else now) + ctx.estimate task i in
+            if !best < 0 || finish < !best_finish then begin
+              best := i;
+              best_finish := finish
+            end
+          end
+        done;
+        if !best >= 0 then avail.(!best) <- !best_finish;
+        !best)
   in
   { name = "EFT"; schedule }
 
 let power =
   let schedule ctx =
-    let out = ref [] in
-    iter_ready
-      (fun task ->
-        let best = ref None in
-        Array.iteri
-          (fun i st ->
-            ctx.ops <- ctx.ops + 1;
-            if st.idle && Task.supports task st.pe then begin
-              let est = ctx.estimate task i in
-              (* Energy-to-completion for this task on this PE; ties
-                 broken by execution time. *)
-              let energy = float_of_int est *. Pe.busy_w st.pe.Pe.kind in
-              match !best with
-              | Some (_, best_energy, best_est)
-                when best_energy < energy || (best_energy = energy && best_est <= est) ->
-                ()
-              | _ -> best := Some (i, energy, est)
-            end)
-          ctx.pes;
-        match !best with
-        | Some (i, _, _) ->
-          ctx.pes.(i).idle <- false;
-          out := { task; pe_index = i } :: !out
-        | None -> ())
-      ctx;
-    List.rev !out
+    scan ctx (fun task ->
+        let best = ref (-1) and best_energy = ref 0.0 and best_est = ref 0 in
+        for i = 0 to Array.length ctx.pes - 1 do
+          let st = ctx.pes.(i) in
+          if st.idle && Task.supports task st.pe then begin
+            let est = ctx.estimate task i in
+            (* Energy-to-completion for this task on this PE; ties
+               broken by execution time. *)
+            let energy = float_of_int est *. Pe.busy_w st.pe.Pe.kind in
+            if !best < 0 || energy < !best_energy || (energy = !best_energy && est < !best_est)
+            then begin
+              best := i;
+              best_energy := energy;
+              best_est := est
+            end
+          end
+        done;
+        !best)
   in
   { name = "POWER"; schedule }
 
 let random =
   let schedule ctx =
-    let out = ref [] in
-    iter_ready
-      (fun task ->
-        let candidates = ref [] in
-        Array.iteri
-          (fun i st ->
-            ctx.ops <- ctx.ops + 1;
-            if st.idle && Task.supports task st.pe then candidates := i :: !candidates)
-          ctx.pes;
-        match !candidates with
-        | [] -> ()
-        | cs ->
-          let arr = Array.of_list cs in
-          let i = Prng.choose ctx.prng arr in
-          ctx.pes.(i).idle <- false;
-          out := { task; pe_index = i } :: !out)
-      ctx;
-    List.rev !out
+    let cand = Array.make (Array.length ctx.pes) 0 in
+    scan ctx (fun task ->
+        (* Candidates in descending PE order: the seeded draw indexes
+           them that way. *)
+        let n = ref 0 in
+        for i = Array.length ctx.pes - 1 downto 0 do
+          let st = ctx.pes.(i) in
+          if st.idle && Task.supports task st.pe then begin
+            cand.(!n) <- i;
+            incr n
+          end
+        done;
+        if !n = 0 then -1 else cand.(Prng.int ctx.prng !n))
   in
   { name = "RANDOM"; schedule }
 

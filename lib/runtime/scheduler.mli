@@ -39,7 +39,8 @@ type context = {
   mutable ops : int;
       (** policies increment this per elementary examination; the
           engine charges overlay-core time proportional to the policy's
-          complexity model *)
+          complexity model.  The built-ins charge [nready] x PE count,
+          a full walk of the window, even when they stop early *)
 }
 
 type assignment = { task : Task.t; pe_index : int }

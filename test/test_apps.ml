@@ -228,6 +228,22 @@ let test_kernels_registered () =
   Alcotest.(check bool) "accel object holds RD FFT" true
     (List.mem "range_detect_FFT_0_ACCEL" (Kernels.symbols "fft_accel.so"))
 
+(* Reference kernels are registered once: a later constructor call
+   must not put back a kernel a caller replaced. *)
+let test_kernel_override_survives_by_name () =
+  let lookup sym = Result.get_ok (Kernels.lookup ~shared_object:"pulse_doppler.so" ~symbol:sym) in
+  ignore (Reference_apps.by_name "pulse_doppler");
+  let original = lookup "pd_MUL_3" in
+  let override : Kernels.kernel = fun store args -> original store args in
+  Kernels.register_object "pulse_doppler.so" [ ("pd_MUL_3", override) ];
+  Fun.protect
+    ~finally:(fun () -> Kernels.register_object "pulse_doppler.so" [ ("pd_MUL_3", original) ])
+    (fun () ->
+      ignore (Reference_apps.by_name "pulse_doppler");
+      ignore (Reference_apps.all ());
+      Reference_apps.ensure_kernels_registered ();
+      Alcotest.(check bool) "override still installed" true (lookup "pd_MUL_3" == override))
+
 let test_kernel_lookup_errors () =
   Alcotest.(check bool) "unknown object" true
     (Result.is_error (Kernels.lookup ~shared_object:"missing.so" ~symbol:"f"));
@@ -375,6 +391,8 @@ let () =
           Alcotest.test_case "Table I task counts" `Quick test_task_counts_match_table1;
           Alcotest.test_case "by_name" `Quick test_by_name;
           Alcotest.test_case "kernels registered" `Quick test_kernels_registered;
+          Alcotest.test_case "kernel override survives by_name" `Quick
+            test_kernel_override_survives_by_name;
           Alcotest.test_case "kernel lookup errors" `Quick test_kernel_lookup_errors;
           Alcotest.test_case "range detection recovers echo" `Quick test_range_detection_functional;
           Alcotest.test_case "wifi loopback decodes payload" `Quick test_wifi_loopback_functional;

@@ -609,6 +609,77 @@ let test_analyze_dma_and_stall_attribution () =
   Alcotest.(check (float 1e-9)) "dma fraction of the path" (100.0 /. 210.0)
     cp.Analyze.cp_dma_frac
 
+(* Random logs with many fabric stalls, several landing exactly on
+   dispatch and completion instants: every task's attributed stall
+   must equal the brute-force sum over its PE's admissions inside
+   [dispatched, completed]. *)
+let stall_log_gen =
+  QCheck.Gen.(
+    int_range 1 4 >>= fun n_pes ->
+    list_size (int_range 1 40)
+      (triple (int_range 0 (n_pes - 1)) (int_range 0 100) (int_range 0 20))
+    >>= fun tasks ->
+    list_size (int_range 0 300)
+      (triple (int_range 0 n_pes) (int_range 0 130) (int_range 0 50))
+    >>= fun stalls -> return (tasks, stalls))
+
+let stall_log_events (tasks, stalls) =
+  let task_events =
+    List.concat
+      (List.mapi
+         (fun task (pe_index, start, dur) ->
+           let d = 10 * start and c = 10 * (start + dur) in
+           let pe = Printf.sprintf "pe%d" pe_index in
+           [
+             { Obs.t_ns = d; body = Obs.Task_ready { task; instance = 0; app = "a"; node = "n" } };
+             {
+               Obs.t_ns = d;
+               body =
+                 Obs.Task_dispatched
+                   { task; instance = 0; app = "a"; node = "n"; pe; pe_index; wait_ns = 0 };
+             };
+             {
+               Obs.t_ns = c;
+               body =
+                 Obs.Task_completed
+                   { task; instance = 0; app = "a"; node = "n"; pe; pe_index; service_ns = c - d };
+             };
+           ])
+         tasks)
+  in
+  let stall_events =
+    List.map
+      (fun (pe_index, t, stall_ns) ->
+        {
+          Obs.t_ns = 10 * t;
+          body = Obs.Stream_admitted { pe_index; bytes = 64; stall_ns; inflight = 1 };
+        })
+      stalls
+  in
+  List.stable_sort
+    (fun (a : Obs.event) (b : Obs.event) -> compare a.Obs.t_ns b.Obs.t_ns)
+    (task_events @ stall_events)
+
+let prop_stall_attribution_matches_brute_force =
+  QCheck.Test.make ~name:"stall attribution matches the brute-force sum" ~count:300
+    (QCheck.make stall_log_gen) (fun log ->
+      let events = stall_log_events log in
+      let brute (x : Analyze.task_exec) =
+        List.fold_left
+          (fun acc (e : Obs.event) ->
+            match e.Obs.body with
+            | Obs.Stream_admitted { pe_index; stall_ns; _ }
+              when pe_index = x.Analyze.x_pe_index
+                   && e.Obs.t_ns >= x.Analyze.x_dispatched_ns
+                   && e.Obs.t_ns <= x.Analyze.x_completed_ns ->
+                acc + stall_ns
+            | _ -> acc)
+          0 events
+      in
+      let got = Analyze.tasks (Analyze.of_events events) in
+      List.length got = List.length (fst log)
+      && List.for_all (fun x -> x.Analyze.x_stall_ns = brute x) got)
+
 let test_analyze_empty_log () =
   let a = Analyze.of_events [] in
   Alcotest.(check int) "zero makespan" 0 (Analyze.makespan_ns a);
@@ -795,6 +866,7 @@ let () =
             test_analyze_utilization_and_queueing_pinned;
           Alcotest.test_case "dma and stall attribution" `Quick
             test_analyze_dma_and_stall_attribution;
+          QCheck_alcotest.to_alcotest prop_stall_attribution_matches_brute_force;
           Alcotest.test_case "empty log" `Quick test_analyze_empty_log;
           Alcotest.test_case "pp and json" `Quick test_analyze_pp_and_json;
         ] );

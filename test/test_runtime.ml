@@ -617,6 +617,308 @@ let prop_virtual_deterministic_across_policies =
       let run () = run_validation ~policy ~engine (cfg_3c2f ()) [ (spec, 2) ] in
       (run ()).Stats.makespan_ns = (run ()).Stats.makespan_ns)
 
+(* ---------------------- Built-in policy equivalence ---------------------- *)
+
+(* The built-ins as a plain walk of the whole window: every task is
+   examined against every PE, [ops] counts each examination, and the
+   best pick so far is an option.  The library's scan stops once no
+   idle PE remains; it must agree with this oracle on the assignments,
+   on [ops], on the PE states it leaves and on the PRNG draws. *)
+module Oracle = struct
+  open Scheduler
+
+  let iter_ready f ctx =
+    for j = 0 to ctx.nready - 1 do
+      f ctx.ready.(j)
+    done
+
+  let frfs ctx =
+    let out = ref [] in
+    iter_ready
+      (fun task ->
+        let chosen = ref None in
+        Array.iteri
+          (fun i st ->
+            ctx.ops <- ctx.ops + 1;
+            if !chosen = None && st.idle && Task.supports task st.pe then chosen := Some i)
+          ctx.pes;
+        match !chosen with
+        | Some i ->
+          ctx.pes.(i).idle <- false;
+          out := { task; pe_index = i } :: !out
+        | None -> ())
+      ctx;
+    List.rev !out
+
+  let met ctx =
+    let out = ref [] in
+    iter_ready
+      (fun task ->
+        let best = ref None in
+        Array.iteri
+          (fun i st ->
+            ctx.ops <- ctx.ops + 1;
+            if st.idle && Task.supports task st.pe then begin
+              let est = ctx.estimate task i in
+              match !best with
+              | Some (_, best_est) when best_est <= est -> ()
+              | _ -> best := Some (i, est)
+            end)
+          ctx.pes;
+        match !best with
+        | Some (i, _) ->
+          ctx.pes.(i).idle <- false;
+          out := { task; pe_index = i } :: !out
+        | None -> ())
+      ctx;
+    List.rev !out
+
+  let eft ctx =
+    let avail = Array.map (fun st -> if st.idle then ctx.now else st.busy_until) ctx.pes in
+    let out = ref [] in
+    iter_ready
+      (fun task ->
+        let best = ref None in
+        Array.iteri
+          (fun i st ->
+            ctx.ops <- ctx.ops + 1;
+            if st.available && Task.supports task st.pe then begin
+              let finish = max ctx.now avail.(i) + ctx.estimate task i in
+              match !best with
+              | Some (_, best_finish) when best_finish <= finish -> ()
+              | _ -> best := Some (i, finish)
+            end)
+          ctx.pes;
+        match !best with
+        | None -> ()
+        | Some (i, finish) ->
+          avail.(i) <- finish;
+          if ctx.pes.(i).idle then begin
+            ctx.pes.(i).idle <- false;
+            out := { task; pe_index = i } :: !out
+          end)
+      ctx;
+    List.rev !out
+
+  let power ctx =
+    let out = ref [] in
+    iter_ready
+      (fun task ->
+        let best = ref None in
+        Array.iteri
+          (fun i st ->
+            ctx.ops <- ctx.ops + 1;
+            if st.idle && Task.supports task st.pe then begin
+              let est = ctx.estimate task i in
+              let energy = float_of_int est *. Pe.busy_w st.pe.Pe.kind in
+              match !best with
+              | Some (_, best_energy, best_est)
+                when best_energy < energy || (best_energy = energy && best_est <= est) ->
+                ()
+              | _ -> best := Some (i, energy, est)
+            end)
+          ctx.pes;
+        match !best with
+        | Some (i, _, _) ->
+          ctx.pes.(i).idle <- false;
+          out := { task; pe_index = i } :: !out
+        | None -> ())
+      ctx;
+    List.rev !out
+
+  let random ctx =
+    let out = ref [] in
+    iter_ready
+      (fun task ->
+        let candidates = ref [] in
+        Array.iteri
+          (fun i st ->
+            ctx.ops <- ctx.ops + 1;
+            if st.idle && Task.supports task st.pe then candidates := i :: !candidates)
+          ctx.pes;
+        match !candidates with
+        | [] -> ()
+        | cs ->
+          let i = Prng.choose ctx.prng (Array.of_list cs) in
+          ctx.pes.(i).idle <- false;
+          out := { task; pe_index = i } :: !out)
+      ctx;
+    List.rev !out
+
+  let all =
+    [
+      (Scheduler.frfs, frfs);
+      (Scheduler.met, met);
+      (Scheduler.eft, eft);
+      (Scheduler.power, power);
+      (Scheduler.random, random);
+    ]
+end
+
+(* Pulse Doppler's 770 tasks (FFT/IFFT run on CPU or FFT, the rest on
+   CPU only) ahead of the small heterogeneous pool: enough distinct
+   tasks for full 256-entry windows. *)
+let big_task_pool =
+  let pd =
+    (Task.instantiate ~task_id_base:1000 ~inst_id:3 ~arrival_ns:0 (Reference_apps.pulse_doppler ()))
+      .Task.tasks
+  in
+  Array.append pd (sched_task_pool ())
+
+type pe_mode = Free | All_busy | One_idle
+
+type equiv_scenario = {
+  eq_mode : pe_mode;
+  eq_kinds : int list;
+  eq_states : int list;  (** 0 idle, 1 busy, 2 busy and unavailable *)
+  eq_busy_until : int list;
+  eq_window : int;
+  eq_offset : int;  (** window start in the task pool *)
+  eq_stride : int;
+      (** step through the pool, coprime to its 792 tasks: a window of
+          at most 256 never holds the same task twice *)
+  eq_tie_mod : int;  (** estimates take few distinct values: many ties *)
+  eq_now : int;
+  eq_seed : int;
+}
+
+let equiv_gen =
+  QCheck.Gen.(
+    oneofl [ Free; All_busy; One_idle ] >>= fun eq_mode ->
+    int_range 1 6 >>= fun n_pes ->
+    list_size (return n_pes) (int_range 0 (Array.length sched_pe_kinds - 1)) >>= fun eq_kinds ->
+    list_size (return n_pes) (int_range 0 2) >>= fun eq_states ->
+    list_size (return n_pes) (int_range 0 40_000) >>= fun eq_busy_until ->
+    frequency [ (3, int_range 0 12); (2, return 256); (2, int_range 13 256) ] >>= fun eq_window ->
+    int_range 0 (Array.length big_task_pool - 1) >>= fun eq_offset ->
+    oneofl [ 1; 5; 7; 13 ] >>= fun eq_stride ->
+    int_range 1 6 >>= fun eq_tie_mod ->
+    int_range 0 30_000 >>= fun eq_now ->
+    int_range 1 100_000 >>= fun eq_seed ->
+    return
+      {
+        eq_mode;
+        eq_kinds;
+        eq_states;
+        eq_busy_until;
+        eq_window;
+        eq_offset;
+        eq_stride;
+        eq_tie_mod;
+        eq_now;
+        eq_seed;
+      })
+
+let equiv_print sc =
+  let ints l = String.concat ";" (List.map string_of_int l) in
+  Printf.sprintf
+    "mode=%s kinds=[%s] states=[%s] busy_until=[%s] window=%d offset=%d stride=%d tie_mod=%d \
+     now=%d seed=%d"
+    (match sc.eq_mode with Free -> "free" | All_busy -> "all-busy" | One_idle -> "one-idle")
+    (ints sc.eq_kinds) (ints sc.eq_states) (ints sc.eq_busy_until) sc.eq_window sc.eq_offset
+    sc.eq_stride sc.eq_tie_mod sc.eq_now sc.eq_seed
+
+(* A fresh context for one run; [ready] carries stale entries past
+   [nready], as the engines' reused scratch array does. *)
+let equiv_ctx sc =
+  let n = Array.length big_task_pool in
+  let window =
+    List.init sc.eq_window (fun k -> big_task_pool.((sc.eq_offset + (k * sc.eq_stride)) mod n))
+  in
+  let states =
+    match sc.eq_mode with
+    | Free -> sc.eq_states
+    | All_busy -> List.map (fun s -> if s = 0 then 1 else s) sc.eq_states
+    | One_idle -> List.mapi (fun i s -> if i = 0 then 0 else if s = 0 then 1 else s) sc.eq_states
+  in
+  let pes =
+    Array.of_list
+      (List.mapi
+         (fun i ((k, s), until) ->
+           {
+             Scheduler.pe = Pe.make ~id:i ~kind:sched_pe_kinds.(k);
+             idle = s = 0;
+             busy_until = (if s = 0 then 0 else until);
+             available = s < 2;
+           })
+         (List.combine (List.combine sc.eq_kinds states) sc.eq_busy_until))
+  in
+  {
+    Scheduler.now = sc.eq_now;
+    ready = Array.of_list (window @ [ big_task_pool.(0); big_task_pool.(1) ]);
+    nready = List.length window;
+    pes;
+    estimate = (fun t i -> 1_000 * (1 + ((t.Task.id + (3 * i)) mod sc.eq_tie_mod)));
+    prng = Prng.create ~seed:(Int64.of_int sc.eq_seed);
+    ops = 0;
+  }
+
+let prop_builtins_match_full_window_oracle =
+  QCheck.Test.make ~name:"built-in policies match the full-window oracle" ~count:300
+    (QCheck.make ~print:equiv_print equiv_gen)
+    (fun sc ->
+      List.for_all
+        (fun ((p : Scheduler.policy), oracle) ->
+          let ctx = equiv_ctx sc and ref_ctx = equiv_ctx sc in
+          let got = p.Scheduler.schedule ctx and want = oracle ref_ctx in
+          let key (a : Scheduler.assignment) = (a.Scheduler.task.Task.id, a.Scheduler.pe_index) in
+          let idle c = Array.map (fun st -> st.Scheduler.idle) c.Scheduler.pes in
+          let ok =
+            List.map key got = List.map key want
+            && ctx.Scheduler.ops = ref_ctx.Scheduler.ops
+            && ctx.Scheduler.ops = ctx.Scheduler.nready * Array.length ctx.Scheduler.pes
+            && idle ctx = idle ref_ctx
+            && Prng.bits64 ctx.Scheduler.prng = Prng.bits64 ref_ctx.Scheduler.prng
+          in
+          if not ok then QCheck.Test.fail_reportf "%s diverges from the oracle" p.Scheduler.name;
+          ok)
+        Oracle.all)
+
+(* One FRFS and one EFT pass over a full 256-task x 5-PE window
+   allocate the same few words whatever the window length: nothing per
+   examined task.  The window is CPU-only work with only the FFT idle,
+   so neither policy can stop early and both walk all of it. *)
+let test_builtin_scan_allocation_bounded () =
+  let cpu_only =
+    Array.of_list
+      (List.filter
+         (fun (t : Task.t) -> not (Task.supports t (Pe.make ~id:0 ~kind:(Pe.Accel Pe.zynq_fft))))
+         (Array.to_list big_task_pool))
+  in
+  Alcotest.(check bool) "enough CPU-only tasks" true (Array.length cpu_only >= 256);
+  let words (p : Scheduler.policy) nready =
+    let pes =
+      Array.init 5 (fun i ->
+          let kind = if i < 4 then Pe.Cpu Pe.a53 else Pe.Accel Pe.zynq_fft in
+          { Scheduler.pe = Pe.make ~id:i ~kind; idle = i = 4; busy_until = 5_000; available = true })
+    in
+    let ctx =
+      {
+        Scheduler.now = 0;
+        ready = Array.sub cpu_only 0 256;
+        nready;
+        pes;
+        estimate = (fun _ i -> 100 * (i + 1));
+        prng = Prng.create ~seed:1L;
+        ops = 0;
+      }
+    in
+    let before = Gc.minor_words () in
+    let assignments = p.Scheduler.schedule ctx in
+    let after = Gc.minor_words () in
+    Alcotest.(check int) (p.Scheduler.name ^ " assigns nothing") 0 (List.length assignments);
+    Alcotest.(check int) (p.Scheduler.name ^ " ops") (nready * 5) ctx.Scheduler.ops;
+    int_of_float (after -. before)
+  in
+  List.iter
+    (fun (p : Scheduler.policy) ->
+      let short = words p 8 and full = words p 256 in
+      Alcotest.(check int) (p.Scheduler.name ^ ": words independent of window length") short full;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d words per invocation <= 64" p.Scheduler.name full)
+        true (full <= 64))
+    [ Scheduler.frfs; Scheduler.eft ]
+
 let () =
   Alcotest.run "runtime"
     [
@@ -637,6 +939,8 @@ let () =
           Alcotest.test_case "overhead model" `Quick test_overhead_model;
           qtest prop_policies_respect_assignment_invariants;
           qtest prop_eft_no_worse_than_met_when_all_idle;
+          qtest prop_builtins_match_full_window_oracle;
+          Alcotest.test_case "scan allocation bounded" `Quick test_builtin_scan_allocation_bounded;
         ] );
       ( "exec_model",
         [
