@@ -44,11 +44,11 @@ let little_arg =
   Arg.(value & opt int 2 & info [ "little" ] ~docv:"N" ~doc:"LITTLE-core PEs (odroid).")
 
 let config_of host cores ffts big little =
+  let build make = match make () with c -> Ok c | exception Invalid_argument msg -> Error msg in
   match String.lowercase_ascii host with
-  | "zcu102" -> Ok (Config.zcu102_cores_ffts ~cores ~ffts)
-  | "odroid-xu3" | "odroid" -> Ok (Config.odroid_big_little ~big ~little)
+  | "zcu102" -> build (fun () -> Config.zcu102_cores_ffts ~cores ~ffts)
+  | "odroid-xu3" | "odroid" -> build (fun () -> Config.odroid_big_little ~big ~little)
   | other -> Error (Printf.sprintf "unknown host %S (try zcu102 or odroid-xu3)" other)
-  | exception Invalid_argument msg -> Error msg
 
 let policy_arg =
   Arg.(value & opt string "FRFS" & info [ "policy" ] ~docv:"POLICY" ~doc:"Scheduling policy.")
@@ -79,7 +79,7 @@ let engine_arg =
            domains; same as --native), or compiled (ahead-of-time specialization of the workload \
            x platform x policy triple into a flat-array event loop — replays the virtual engine \
            byte-for-byte, including traced runs' event logs and metrics, but rejects fault \
-           plans and non-built-in policies).")
+           plans and mesh fabrics).")
 
 let resolve_engine ~engine ~native ~jitter ~reservation ~seed =
   let seed = Int64.of_int seed in
@@ -108,8 +108,8 @@ let faults_arg =
           (Printf.sprintf
              "Deterministic fault-injection plan enabling resilient dispatch (retries, \
               quarantine, degradation).  %s  Example: \
-              'fft0:die\\@1ms,*:transient:p=0.1:recover=0.5ms'."
-             Fault.spec_grammar))
+              'fft0:die@1ms,*:transient:p=0.1:recover=0.5ms'."
+             (Manpage.escape Fault.spec_grammar)))
 
 let fault_seed_arg =
   Arg.(

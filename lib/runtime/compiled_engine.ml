@@ -22,8 +22,6 @@ exception Unsupported of string
    integer program counters.  Divergences are caught by the
    differential matrix in test_diff_engines.ml. *)
 
-type pcode = P_frfs | P_met | P_eft | P_power | P_random
-
 (* One application archetype, lowered.  Node indices are positions in
    [c_nodes] (= App_spec declaration order = dense task id offsets). *)
 type cls = {
@@ -33,7 +31,7 @@ type cls = {
   c_unmet : int array;  (** initial unmet-predecessor counts *)
   c_succ : int array array;  (** successor node indices, JSON order *)
   c_entry : int array;  (** nodes with no predecessors, node order *)
-  c_est : int array;  (** (node, pe) estimate matrix; [min_int] = unsupported *)
+  c_est : int array;  (** (node, pe) estimate matrix; [Scheduler.unsupported] if unsupported *)
   c_ph_in : int array;  (** accelerator ideal DMA-in ns per (node, pe) *)
   c_ph_comp : int array;
   c_ph_out : int array;
@@ -56,7 +54,6 @@ type cls = {
 type plan = {
   p_config : Config.t;
   p_policy : Scheduler.policy;
-  p_pcode : pcode;
   p_classes : cls array;
   p_item_class : int array;
   p_item_arrival : int array;
@@ -64,7 +61,6 @@ type plan = {
   p_n_pes : int;
   p_pes : Pe.t array;
   p_pe_is_cpu : bool array;
-  p_pe_busy_w : float array;
   p_est : int array;  (** (task id, pe) estimates, stride [p_n_pes] *)
   p_ph_in : int array;
   p_ph_comp : int array;
@@ -80,14 +76,6 @@ type plan = {
   p_core_rate1 : float array;  (** per core: quantum /. (quantum + switch) *)
   p_overlay_perf : float;
 }
-
-let builtin_pcode (policy : Scheduler.policy) =
-  if policy == Scheduler.frfs then Some P_frfs
-  else if policy == Scheduler.met then Some P_met
-  else if policy == Scheduler.eft then Some P_eft
-  else if policy == Scheduler.power then Some P_power
-  else if policy == Scheduler.random then Some P_random
-  else None
 
 (* ------------------------------------------------------------------ *)
 (* Compilation                                                         *)
@@ -107,7 +95,7 @@ let build_class ~(config : Config.t) ~(pes : Pe.t array) (spec : App_spec.t) =
     tmpl.Task.tasks;
   let n = Array.length tmpl.Task.tasks in
   let tbl = Exec_model.build_table ~instances:[| tmpl |] ~pes in
-  let est = Array.make (max 1 (n * n_pes)) min_int in
+  let est = Array.make (max 1 (n * n_pes)) Scheduler.unsupported in
   let ph_in = Array.make (max 1 (n * n_pes)) 0 in
   let ph_comp = Array.make (max 1 (n * n_pes)) 0 in
   let ph_out = Array.make (max 1 (n * n_pes)) 0 in
@@ -258,17 +246,6 @@ let compile ?fault ~(config : Config.t) ~(workload : Workload.t)
          "NoC (mesh) fabric topologies are outside the compiled engine's lowering \
           (use the virtual or native engine)")
   | _ -> ());
-  let pcode =
-    match builtin_pcode policy with
-    | Some p -> p
-    | None ->
-      raise
-        (Unsupported
-           (Printf.sprintf
-              "policy %S is not one of the five built-ins the compiled engine \
-               specializes"
-              policy.Scheduler.name))
-  in
   let pes = Array.of_list (Config.pes config) in
   let n_pes = Array.length pes in
   (* Manager-core table: index 0 is the overlay core (the WM's), the
@@ -321,7 +298,7 @@ let compile ?fault ~(config : Config.t) ~(workload : Workload.t)
       total := !total + classes.(ci).c_n)
     item_class;
   let n_tasks = !total in
-  let est = Array.make (max 1 (n_tasks * n_pes)) min_int in
+  let est = Array.make (max 1 (n_tasks * n_pes)) Scheduler.unsupported in
   let ph_in = Array.make (max 1 (n_tasks * n_pes)) 0 in
   let ph_comp = Array.make (max 1 (n_tasks * n_pes)) 0 in
   let ph_out = Array.make (max 1 (n_tasks * n_pes)) 0 in
@@ -352,7 +329,6 @@ let compile ?fault ~(config : Config.t) ~(workload : Workload.t)
   {
     p_config = config;
     p_policy = policy;
-    p_pcode = pcode;
     p_classes = classes;
     p_item_class = item_class;
     p_item_arrival = Array.map (fun (it : Workload.item) -> it.Workload.arrival_ns) items;
@@ -360,7 +336,6 @@ let compile ?fault ~(config : Config.t) ~(workload : Workload.t)
     p_n_pes = n_pes;
     p_pes = pes;
     p_pe_is_cpu = Array.map (fun pe -> Pe.is_cpu pe.Pe.kind) pes;
-    p_pe_busy_w = Array.map (fun pe -> Pe.busy_w pe.Pe.kind) pes;
     p_est = est;
     p_ph_in = ph_in;
     p_ph_comp = ph_comp;
@@ -777,58 +752,10 @@ let run_detailed ?(obs = Obs.disabled) plan (params : Core.params) =
   let jit ns = Core.jittered prng ~jitter ns in
   let overlay_perf = plan.p_overlay_perf in
   let scale ns = int_of_float (Float.round (ns /. overlay_perf)) in
-  (* ---- workload-manager state ----
-     The ready collection is an intrusive doubly-linked list over dense
-     task ids: append on ready, O(1) unlink on dispatch.  It holds
-     exactly the Ready tasks in insertion order — the same sequence the
-     reference engine's queue exposes once stale (already-dispatched)
-     entries are skipped — so the scheduling window never rescans stale
-     entries and never allocates. *)
-  let n_tasks = if stride = 0 then 0 else Array.length est / stride in
-  let tk_of =
-    if n_tasks = 0 then [||]
-    else begin
-      let d = ref None in
-      (try
-         Array.iter
-           (fun (inst : Task.instance) ->
-             if Array.length inst.Task.tasks > 0 then begin
-               d := Some inst.Task.tasks.(0);
-               raise Exit
-             end)
-           instances
-       with Exit -> ());
-      match !d with
-      | None -> [||]
-      | Some d0 ->
-        let a = Array.make n_tasks d0 in
-        Array.iter
-          (fun (inst : Task.instance) ->
-            Array.iter (fun (t : Task.t) -> a.(t.Task.id) <- t) inst.Task.tasks)
-          instances;
-        a
-    end
+  (* ---- workload-manager state ---- *)
+  let ready =
+    Ready.create (Array.fold_left (fun n i -> n + Array.length i.Task.tasks) 0 instances)
   in
-  let rl_nxt = Array.make (max 1 n_tasks) (-1) in
-  let rl_prv = Array.make (max 1 n_tasks) (-1) in
-  let rl_head = ref (-1) in
-  let rl_tail = ref (-1) in
-  let rl_append id =
-    if !rl_tail < 0 then rl_head := id
-    else begin
-      rl_nxt.(!rl_tail) <- id;
-      rl_prv.(id) <- !rl_tail
-    end;
-    rl_nxt.(id) <- -1;
-    rl_tail := id
-  in
-  let rl_unlink id =
-    let p = rl_prv.(id) and n = rl_nxt.(id) in
-    if p >= 0 then rl_nxt.(p) <- n else rl_head := n;
-    if n >= 0 then rl_prv.(n) <- p else rl_tail := p;
-    rl_prv.(id) <- -1
-  in
-  let ready_live = ref 0 in
   let inflight = ref 0 in
   let n_items = Array.length instances in
   let pending_idx = ref 0 in
@@ -838,26 +765,26 @@ let run_detailed ?(obs = Obs.disabled) plan (params : Core.params) =
   let sw_batch = ref false in
   let ds_ret = ref 0 in
   let ds_cost = ref 0 in
-  let ds_pos = ref 0 in
   let ds_ready = ref 0 in
   let ds_nready = ref 0 in
+  let ds_ops = ref 0 in
+  let ds_todo : Scheduler.assignment list ref = ref [] in
   let tick_completions = ref 0 in
   let tick_injected = ref 0 in
-  let idle = Array.make (max 1 n_pes) false in
-  let avail = Array.make (max 1 n_pes) 0 in
-  let cand = Array.make (max 1 n_pes) 0 in
-  let as_task : Task.t array ref = ref [||] in
-  let as_pe = Array.make (max 1 n_pes) 0 in
-  let as_n = ref 0 in
+  let pes_scratch =
+    Array.map
+      (fun pe -> { Scheduler.pe; idle = false; busy_until = 0; available = true })
+      plan.p_pes
+  in
+  let estimate (t : Task.t) i = est.((t.Task.id * stride) + i) in
   let make_ready (t : Task.t) =
     t.Task.status <- Task.Ready;
     t.Task.ready_at <- !now;
-    rl_append t.Task.id;
-    incr ready_live;
+    Ready.append ready t;
     if traced then
       Obs.on_task_ready obs ~now:t.Task.ready_at ~task:t.Task.id
         ~instance:t.Task.instance_id ~app:t.Task.app_name
-        ~node:t.Task.node.App_spec.node_name ~ready_depth:!ready_live
+        ~node:t.Task.node.App_spec.node_name ~ready_depth:(Ready.length ready)
   in
   (* ---- resource-manager threads (engine_core.resource_manager) ---- *)
   let rm_pc = Array.make (max 1 n_pes) 0 in
@@ -1078,25 +1005,28 @@ let run_detailed ?(obs = Obs.disabled) plan (params : Core.params) =
     ds_ret := ret;
     let n_idle = ref 0 in
     for i = 0 to n_pes - 1 do
-      let b = handlers.(i).Core.h_inflight < handlers.(i).Core.h_capacity in
-      idle.(i) <- b;
-      if b then incr n_idle
+      let h = handlers.(i) and st = pes_scratch.(i) in
+      st.Scheduler.idle <- h.Core.h_inflight < h.Core.h_capacity;
+      st.Scheduler.busy_until <- h.Core.h_busy_until;
+      if st.Scheduler.idle then incr n_idle
     done;
-    if !ready_live = 0 || !n_idle = 0 then ds_end ()
+    let ready_len = Ready.length ready in
+    if ready_len = 0 || !n_idle = 0 then ds_end ()
     else begin
-      let ready_len = !ready_live in
       let nready = if ready_len < sched_window then ready_len else sched_window in
-      if traced then begin
-        ds_ready := ready_len;
-        ds_nready := nready
-      end;
-      as_n := 0;
-      run_policy nready !n_idle;
+      let ctx =
+        { Scheduler.now = !now; ready; nready; pes = pes_scratch; estimate; prng; ops = 0 }
+      in
+      let assignments = plan.p_policy.Scheduler.schedule ctx in
+      ds_ready := ready_len;
+      ds_nready := nready;
+      ds_ops := ctx.Scheduler.ops;
+      ds_todo := assignments;
       let cost =
         scale
           (float_of_int
              (Scheduler.overhead_ns ~policy_name:plan.p_policy.Scheduler.name
-                ~ready:ready_len ~pes:n_pes ~ops:(nready * n_pes)))
+                ~ready:ready_len ~pes:n_pes ~ops:ctx.Scheduler.ops))
       in
       ds_cost := cost;
       stats.Core.wm_ns <- stats.Core.wm_ns + cost;
@@ -1107,181 +1037,51 @@ let run_detailed ?(obs = Obs.disabled) plan (params : Core.params) =
         add_job 0 wm_th cost
       end
     end
-  (* The lowered form of [Scheduler.scan]: stop once the idle budget
-     is spent and charge [nready * n_pes] ops as a full walk would.
-     Why the stop is exact: DESIGN.md §9, "stop at the idle budget,
-     count the rest". *)
-  and run_policy nready n_idle0 =
-    let emit (t : Task.t) i =
-      if Array.length !as_task = 0 then as_task := Array.make (max 1 n_pes) t;
-      !as_task.(!as_n) <- t;
-      as_pe.(!as_n) <- i;
-      incr as_n
-    in
-    let n_idle = ref n_idle0 in
-    let cur = ref !rl_head in
-    let j = ref 0 in
-    (match plan.p_pcode with
-    | P_frfs ->
-      while !j < nready && !n_idle > 0 do
-        let t = tk_of.(!cur) in
-        let row = t.Task.id * stride in
-        let chosen = ref (-1) in
-        for i = 0 to n_pes - 1 do
-          if !chosen < 0 && idle.(i) && est.(row + i) <> min_int then chosen := i
-        done;
-        if !chosen >= 0 then begin
-          idle.(!chosen) <- false;
-          decr n_idle;
-          emit t !chosen
-        end;
-        cur := rl_nxt.(!cur);
-        incr j
-      done
-    | P_met ->
-      while !j < nready && !n_idle > 0 do
-        let t = tk_of.(!cur) in
-        let row = t.Task.id * stride in
-        let best = ref (-1) and best_est = ref 0 in
-        for i = 0 to n_pes - 1 do
-          if idle.(i) then begin
-            let e = est.(row + i) in
-            if e <> min_int && (!best < 0 || e < !best_est) then begin
-              best := i;
-              best_est := e
-            end
-          end
-        done;
-        if !best >= 0 then begin
-          idle.(!best) <- false;
-          decr n_idle;
-          emit t !best
-        end;
-        cur := rl_nxt.(!cur);
-        incr j
-      done
-    | P_eft ->
-      let now_v = !now in
-      for i = 0 to n_pes - 1 do
-        avail.(i) <- (if idle.(i) then now_v else handlers.(i).Core.h_busy_until)
-      done;
-      while !j < nready && !n_idle > 0 do
-        let t = tk_of.(!cur) in
-        let row = t.Task.id * stride in
-        let best = ref (-1) and best_fin = ref 0 in
-        for i = 0 to n_pes - 1 do
-          let e = est.(row + i) in
-          if e <> min_int then begin
-            let fin = max now_v avail.(i) + e in
-            if !best < 0 || fin < !best_fin then begin
-              best := i;
-              best_fin := fin
-            end
-          end
-        done;
-        if !best >= 0 then begin
-          avail.(!best) <- !best_fin;
-          if idle.(!best) then begin
-            idle.(!best) <- false;
-            decr n_idle;
-            emit t !best
-          end
-        end;
-        cur := rl_nxt.(!cur);
-        incr j
-      done
-    | P_power ->
-      while !j < nready && !n_idle > 0 do
-        let t = tk_of.(!cur) in
-        let row = t.Task.id * stride in
-        let best = ref (-1) and best_energy = ref 0.0 and best_est = ref 0 in
-        for i = 0 to n_pes - 1 do
-          if idle.(i) then begin
-            let e = est.(row + i) in
-            if e <> min_int then begin
-              let energy = float_of_int e *. plan.p_pe_busy_w.(i) in
-              if
-                !best < 0 || energy < !best_energy
-                || (energy = !best_energy && e < !best_est)
-              then begin
-                best := i;
-                best_energy := energy;
-                best_est := e
-              end
-            end
-          end
-        done;
-        if !best >= 0 then begin
-          idle.(!best) <- false;
-          decr n_idle;
-          emit t !best
-        end;
-        cur := rl_nxt.(!cur);
-        incr j
-      done
-    | P_random ->
-      while !j < nready && !n_idle > 0 do
-        let t = tk_of.(!cur) in
-        let row = t.Task.id * stride in
-        let cn = ref 0 in
-        for i = 0 to n_pes - 1 do
-          if idle.(i) && est.(row + i) <> min_int then begin
-            cand.(!cn) <- i;
-            incr cn
-          end
-        done;
-        if !cn > 0 then begin
-          (* The reference builds the candidate list by prepending
-             ascending PE indices (so the array Prng.choose indexes is
-             descending); replicate the draw against that ordering. *)
-          let k = Prng.int prng !cn in
-          let i = cand.(!cn - 1 - k) in
-          idle.(i) <- false;
-          decr n_idle;
-          emit t i
-        end;
-        cur := rl_nxt.(!cur);
-        incr j
-      done)
   and wm_after_sched_work () =
     stats.Core.sched_ns <- stats.Core.sched_ns + !ds_cost;
     stats.Core.sched_invocations <- stats.Core.sched_invocations + 1;
     if traced then
-      Obs.on_sched obs ~now:!now ~ready:!ds_ready ~examined:!ds_nready
-        ~ops:(!ds_nready * n_pes) ~cost_ns:!ds_cost ~assigned:!as_n;
-    ds_pos := 0;
+      Obs.on_sched obs ~now:!now ~ready:!ds_ready ~examined:!ds_nready ~ops:!ds_ops
+        ~cost_ns:!ds_cost ~assigned:(List.length !ds_todo);
     wm_dispatch_next ()
   and wm_dispatch_next () =
-    if !ds_pos >= !as_n then ds_end ()
-    else wm_charge Cost_model.dispatch_per_task_ns 13
+    (* As [Engine_core]: an assignment whose task is no longer ready
+       is dropped before its dispatch is charged. *)
+    match !ds_todo with
+    | [] -> ds_end ()
+    | a :: rest when a.Scheduler.task.Task.status <> Task.Ready ->
+      ds_todo := rest;
+      wm_dispatch_next ()
+    | _ -> wm_charge Cost_model.dispatch_per_task_ns 13
   and wm_dispatch_commit () =
-    let j = !ds_pos in
-    let task = !as_task.(j) and pi = as_pe.(j) in
-    let h = handlers.(pi) in
-    task.Task.status <- Task.Running;
-    task.Task.attempts <- task.Task.attempts + 1;
-    rl_unlink task.Task.id;
-    decr ready_live;
-    task.Task.dispatched_at <- !now;
-    task.Task.pe_label <- h.Core.h_pe.Pe.label;
-    Queue.add task h.Core.h_pending;
-    h.Core.h_inflight <- h.Core.h_inflight + 1;
-    incr inflight;
-    h.Core.h_busy_until <-
-      max !now h.Core.h_busy_until + est.((task.Task.id * stride) + pi);
-    if traced then begin
-      Obs.on_task_dispatched obs ~now:!now ~task:task.Task.id
-        ~instance:task.Task.instance_id ~app:task.Task.app_name
-        ~node:task.Task.node.App_spec.node_name ~pe:h.Core.h_pe.Pe.label
-        ~pe_index:pi ~wait_ns:(!now - task.Task.ready_at) ~ready_depth:!ready_live
-        ~pe_depth:h.Core.h_inflight ~inflight:!inflight;
-      if h.Core.h_capacity > 1 then
-        Obs.on_reservation_enqueued obs ~now:!now ~pe_index:pi
-          ~depth:(Queue.length h.Core.h_pending)
-    end;
-    signal_rm pi;
-    incr ds_pos;
-    wm_dispatch_next ()
+    match !ds_todo with
+    | [] -> assert false
+    | { Scheduler.task; pe_index = pi } :: rest ->
+      ds_todo := rest;
+      let h = handlers.(pi) in
+      task.Task.status <- Task.Running;
+      task.Task.attempts <- task.Task.attempts + 1;
+      Ready.remove ready task;
+      task.Task.dispatched_at <- !now;
+      task.Task.pe_label <- h.Core.h_pe.Pe.label;
+      Queue.add task h.Core.h_pending;
+      h.Core.h_inflight <- h.Core.h_inflight + 1;
+      incr inflight;
+      h.Core.h_busy_until <-
+        max !now h.Core.h_busy_until + est.((task.Task.id * stride) + pi);
+      if traced then begin
+        Obs.on_task_dispatched obs ~now:!now ~task:task.Task.id
+          ~instance:task.Task.instance_id ~app:task.Task.app_name
+          ~node:task.Task.node.App_spec.node_name ~pe:h.Core.h_pe.Pe.label
+          ~pe_index:pi ~wait_ns:(!now - task.Task.ready_at)
+          ~ready_depth:(Ready.length ready) ~pe_depth:h.Core.h_inflight
+          ~inflight:!inflight;
+        if h.Core.h_capacity > 1 then
+          Obs.on_reservation_enqueued obs ~now:!now ~pe_index:pi
+            ~depth:(Queue.length h.Core.h_pending)
+      end;
+      signal_rm pi;
+      wm_dispatch_next ()
   and ds_end () =
     match !ds_ret with
     | 0 -> wm_sweep_cont ()

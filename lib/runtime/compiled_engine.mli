@@ -9,12 +9,14 @@
     per-(task, PE) estimate matrix and accelerator phase tables, dense
     PE/core/task state arrays — and then {!val:run}s a monomorphic
     event loop over integer-encoded events with no per-event closure
-    allocation, the workload-manager protocol and the chosen policy
-    inlined.
+    allocation and the workload-manager protocol inlined.  The policy
+    is called through {!Scheduler.context} exactly as {!Engine_core}
+    calls it, over the same {!Ready} list and estimate sentinel, so any
+    registered policy runs here.
 
     The contract with the reference engines is {e exact replay}: for
     every supported parameter set (any seed, any jitter, any
-    reservation depth, all five built-in policies) a compiled run
+    reservation depth, any registered policy) a compiled run
     produces the same event sequence as the virtual engine — the same
     [Stats.report] (byte-identical [records_csv]) and the same final
     instance stores.  Observability is lowered into the loop rather
@@ -22,8 +24,8 @@
     same events with the same timestamps in the same order as the
     virtual engine (byte-identical {!Dssoc_obs.Obs.to_jsonl}) and
     populates the same metrics registry, while an untraced run pays
-    only one predictable branch per hook site.  Anything v1 cannot
-    replay bit-for-bit (fault plans, custom policies) is rejected at
+    only one predictable branch per hook site.  Anything the engine
+    cannot replay bit-for-bit (fault plans, mesh fabrics) is rejected at
     compile time with {!exception:Unsupported} rather than allowed to
     diverge silently.  The differential matrix in
     [test/test_diff_engines.ml] pins both contracts.
@@ -41,8 +43,7 @@ type plan
 
 exception Unsupported of string
 (** Raised by {!val:compile} for inputs outside the compiled engine's
-    replay contract: a fault plan, or a policy other than the five
-    built-ins. *)
+    replay contract: a fault plan or a mesh (NoC) fabric. *)
 
 val compile :
   ?fault:Dssoc_fault.Fault.plan ->
@@ -56,9 +57,7 @@ val compile :
     with other plans — every {!val:run} starts from fresh instances.
     Observability is a per-run concern ([?obs] on {!val:run} /
     {!val:run_detailed}), not a compile-time one.
-    @raise Unsupported for a fault plan or a policy that is not one of
-    the five built-ins (the compiler specializes the policy loop and
-    cannot inline arbitrary closures).
+    @raise Unsupported for a fault plan or a mesh fabric.
     @raise Invalid_argument when some task supports no PE of the
     configuration (same validation as the reference engines). *)
 

@@ -14,31 +14,6 @@ let compiled_seeded ?(jitter = 0.03) ?(reservation_depth = 0) seed =
 
 let native_default = Native Native_engine.default_params
 
-let run ?(engine = Virtual Engine_core.default_params) ?(policy = "FRFS") ?obs ?fault
-    ~config ~workload () =
-  match Scheduler.find policy with
-  | Error _ as e -> e
-  | Ok policy -> (
-    try
-      Ok
-        (match engine with
-        | Virtual params ->
-          Virtual_engine.run ~params ?obs ?fault ~config ~workload ~policy ()
-        | Native params ->
-          Native_engine.run ~params ?obs ?fault ~config ~workload ~policy ()
-        | Compiled params ->
-          Compiled_engine.run ?obs
-            (Compiled_engine.compile ?fault ~config ~workload ~policy ())
-            params)
-    with
-    | Invalid_argument msg -> Error msg
-    | Compiled_engine.Unsupported msg -> Error msg)
-
-let run_exn ?engine ?policy ?obs ?fault ~config ~workload () =
-  match run ?engine ?policy ?obs ?fault ~config ~workload () with
-  | Ok r -> r
-  | Error msg -> invalid_arg (Printf.sprintf "Emulator.run_exn: %s" msg)
-
 let run_detailed ?(engine = Virtual Engine_core.default_params) ?(policy = "FRFS") ?obs
     ?fault ~config ~workload () =
   match Scheduler.find policy with
@@ -58,3 +33,11 @@ let run_detailed ?(engine = Virtual Engine_core.default_params) ?(policy = "FRFS
     with
     | Invalid_argument msg -> Error msg
     | Compiled_engine.Unsupported msg -> Error msg)
+
+let run ?engine ?policy ?obs ?fault ~config ~workload () =
+  Result.map fst (run_detailed ?engine ?policy ?obs ?fault ~config ~workload ())
+
+let run_exn ?engine ?policy ?obs ?fault ~config ~workload () =
+  match run ?engine ?policy ?obs ?fault ~config ~workload () with
+  | Ok r -> r
+  | Error msg -> invalid_arg (Printf.sprintf "Emulator.run_exn: %s" msg)

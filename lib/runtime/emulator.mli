@@ -16,10 +16,10 @@ type engine =
   | Compiled of Engine_core.params
       (** ahead-of-time specialization of (workload x platform x
           policy) into a flat-array event loop; replays the virtual
-          engine byte-for-byte for the five built-in policies — see
-          {!Compiled_engine}.  Fault plans, enabled observability and
-          custom policies are outside its contract and turn into
-          [Error] here. *)
+          engine byte-for-byte for every registered policy, traced
+          runs included — see {!Compiled_engine}.  Fault plans and
+          mesh fabrics are outside its contract and turn into [Error]
+          here. *)
 
 val virtual_seeded : ?jitter:float -> ?reservation_depth:int -> int64 -> engine
 (** Convenience: virtual engine with the given seed (jitter defaults

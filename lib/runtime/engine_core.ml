@@ -306,10 +306,10 @@ type service_ops = {
       (* admit one instance now: emits the injection event, makes its
          entry tasks ready, returns how many tasks that was *)
   so_cancel : Task.instance -> unit;
-      (* watchdog abort: withdraw the instance's Ready tasks (lazy
-         deletion, as dispatch does), purge its retry entries and
-         suppress successor release via [Task.cancelled].  The caller
-         must only cancel instances with no Running task. *)
+      (* watchdog abort: unlink the instance's Ready tasks from the
+         ready list, purge its retry entries and suppress successor
+         release via [Task.cancelled].  The caller must only cancel
+         instances with no Running task. *)
   so_ready_live : unit -> int;
   so_inflight : unit -> int;
   so_retry_empty : unit -> bool;
@@ -351,12 +351,9 @@ let workload_manager ?(obs = Obs.disabled) ?(fault = Fault.disabled) ?service
     ~prng ~(stats : wm_stats) =
   let n_pes = Array.length handlers in
   let fault_on = Fault.enabled fault in
-  let ready : Task.t Queue.t = Queue.create () in
-  (* Tasks leave the ready queue lazily (dispatch flips them to
-     Running but only the front is ever popped), so [Queue.length]
-     overstates the live ready-list length.  The scheduler's charged
-     O(n)/O(n^2) cost must follow the *live* count, kept here. *)
-  let ready_live = ref 0 in
+  let ready =
+    Ready.create (Array.fold_left (fun n i -> n + Array.length i.Task.tasks) 0 instances)
+  in
   (* WM-owned dispatched-but-not-yet-monitored count, feeding the
      in-flight gauge; metrics are only ever touched on this thread. *)
   let inflight = ref 0 in
@@ -369,12 +366,11 @@ let workload_manager ?(obs = Obs.disabled) ?(fault = Fault.disabled) ?service
   let make_ready (task : Task.t) =
     task.Task.status <- Task.Ready;
     task.Task.ready_at <- b.b_now ();
-    Queue.add task ready;
-    incr ready_live;
+    Ready.append ready task;
     if Obs.enabled obs then
       Obs.on_task_ready obs ~now:task.Task.ready_at ~task:task.Task.id
         ~instance:task.Task.instance_id ~app:task.Task.app_name
-        ~node:task.Task.node.App_spec.node_name ~ready_depth:!ready_live
+        ~node:task.Task.node.App_spec.node_name ~ready_depth:(Ready.length ready)
   in
   (* ---- fault handling (all WM-owned; no-ops when [fault_on] is false) ---- *)
   (* Tasks sleeping out a retry backoff, sorted by release time. *)
@@ -470,11 +466,6 @@ let workload_manager ?(obs = Obs.disabled) ?(fault = Fault.disabled) ?service
           ~attempt:task.Task.attempts ~backoff_ns:backoff
     end
   in
-  (* Scratch structures reused by every scheduling invocation: the
-     policy-facing PE states are refreshed in place, and the ready
-     window is snapshotted into a reusable array (sized once to the
-     examination cap).  Reallocating these per invocation — once per
-     task completion — dominated the scheduler hot path. *)
   (* A PE at or past its scheduled death time must never receive work,
      even if the proactive kill sweep has not reached it yet: the
      engines' clocks pass the death time at different wall points, and
@@ -495,9 +486,7 @@ let workload_manager ?(obs = Obs.disabled) ?(fault = Fault.disabled) ?service
         end)
       handlers
   in
-  (* Capabilities handed to the service hooks.  [so_cancel] withdraws
-     Ready tasks by the same lazy-deletion trick dispatch uses (status
-     flip + live-count decrement; the queue entry goes stale). *)
+  (* Capabilities handed to the service hooks. *)
   let service_ops =
     {
       so_inject =
@@ -514,59 +503,41 @@ let workload_manager ?(obs = Obs.disabled) ?(fault = Fault.disabled) ?service
             (fun (t : Task.t) ->
               if t.Task.status = Task.Ready then begin
                 t.Task.status <- Task.Blocked;
-                decr ready_live
+                Ready.remove ready t
               end)
             inst.Task.tasks;
           retry_q :=
             List.filter
               (fun (_, (t : Task.t)) -> t.Task.instance_id <> inst.Task.inst_id)
               !retry_q);
-      so_ready_live = (fun () -> !ready_live);
+      so_ready_live = (fun () -> Ready.length ready);
       so_inflight = (fun () -> !inflight);
       so_retry_empty = (fun () -> !retry_q = []);
     }
   in
+  (* The policy-facing PE states, refreshed in place per invocation. *)
   let pes_scratch =
     Array.map
       (fun h -> { Scheduler.pe = h.h_pe; idle = false; busy_until = 0; available = true })
       handlers
   in
-  let ready_scratch = ref [||] in
   let estimate task i = Exec_model.lookup est_table task i in
-  (* One scheduling invocation: snapshot the ready window, run the
-     policy, account its cost, dispatch the selected tasks.  Invoked
+  (* One scheduling invocation: run the policy over the ready window,
+     account its cost, dispatch the selected tasks.  Invoked
      after every task completion and after every injection burst, as
      the paper's workload manager does (it has no PE reservation
      queues, so "a scheduling algorithm incurs this overhead every
      time a task completes"). *)
   let do_schedule () =
-    while (not (Queue.is_empty ready)) && (Queue.peek ready).Task.status <> Task.Ready do
-      ignore (Queue.pop ready)
-    done;
     let now0 = if fault_on then b.b_now () else 0 in
     let pe_ok h =
       (not fault_on) || (h.h_quarantined_until <= now0 && not (dead_at h ~now:now0))
     in
     let usable h = h.h_inflight < h.h_capacity && pe_ok h in
     let have_idle = Array.exists usable handlers in
-    if stats.aborted = None && (not (Queue.is_empty ready)) && have_idle then begin
-      let ready_len = !ready_live in
-      let nready =
-        let taken = ref 0 in
-        (try
-           Queue.iter
-             (fun t ->
-               if t.Task.status = Task.Ready then begin
-                 if Array.length !ready_scratch = 0 then
-                   ready_scratch := Array.make sched_window t;
-                 !ready_scratch.(!taken) <- t;
-                 incr taken;
-                 if !taken >= sched_window then raise_notrace Exit
-               end)
-             ready
-         with Exit -> ());
-        !taken
-      in
+    let ready_len = Ready.length ready in
+    if stats.aborted = None && ready_len > 0 && have_idle then begin
+      let nready = min ready_len sched_window in
       Array.iteri
         (fun i h ->
           let st = pes_scratch.(i) in
@@ -578,7 +549,7 @@ let workload_manager ?(obs = Obs.disabled) ?(fault = Fault.disabled) ?service
       let ctx =
         {
           Scheduler.now = b.b_now ();
-          ready = !ready_scratch;
+          ready;
           nready;
           pes = pes_scratch;
           estimate;
@@ -594,28 +565,28 @@ let workload_manager ?(obs = Obs.disabled) ?(fault = Fault.disabled) ?service
         Obs.on_sched obs ~now:(b.b_now ()) ~ready:ready_len ~examined:nready
           ~ops:ctx.Scheduler.ops ~cost_ns:sched_cost
           ~assigned:(List.length assignments);
-      (* Communicate selected tasks to their resource managers (setting
-         the status to Running also lazily removes each task from the
-         ready queue). *)
+      (* Communicate selected tasks to their resource managers. *)
       List.iter
         (fun (a : Scheduler.assignment) ->
           let task = a.Scheduler.task and h = handlers.(a.Scheduler.pe_index) in
           if
-            fault_on
-            && (h.h_quarantined_until > b.b_now ()
-               || dead_at h ~now:(b.b_now ())
-               || h.h_inflight >= h.h_capacity)
+            task.Task.status <> Task.Ready
+            || fault_on
+               && (h.h_quarantined_until > b.b_now ()
+                  || dead_at h ~now:(b.b_now ())
+                  || h.h_inflight >= h.h_capacity)
           then
-            (* A custom policy ignored [Scheduler.pe_state.available]
-               (or overcommitted); drop the assignment — the task stays
-               in the ready list for the next invocation. *)
+            (* A custom policy returned a task twice, ignored
+               [Scheduler.pe_state.available] or overcommitted; drop
+               the assignment — an undispatched task stays in the
+               ready list for the next invocation. *)
             ()
           else begin
             b.b_charge Cost_model.dispatch_per_task_ns;
             b.b_lock h;
             task.Task.status <- Task.Running;
             task.Task.attempts <- task.Task.attempts + 1;
-            decr ready_live;
+            Ready.remove ready task;
             task.Task.dispatched_at <- b.b_now ();
             task.Task.pe_label <- h.h_pe.Pe.label;
             Queue.add task h.h_pending;
@@ -629,7 +600,7 @@ let workload_manager ?(obs = Obs.disabled) ?(fault = Fault.disabled) ?service
                 ~instance:task.Task.instance_id ~app:task.Task.app_name
                 ~node:task.Task.node.App_spec.node_name ~pe:h.h_pe.Pe.label
                 ~pe_index:h.h_index ~wait_ns:(now - task.Task.ready_at)
-                ~ready_depth:!ready_live ~pe_depth:h.h_inflight ~inflight:!inflight;
+                ~ready_depth:(Ready.length ready) ~pe_depth:h.h_inflight ~inflight:!inflight;
               if h.h_capacity > 1 then
                 Obs.on_reservation_enqueued obs ~now ~pe_index:h.h_index
                   ~depth:(Queue.length h.h_pending)
@@ -860,13 +831,18 @@ let report ~host_name ~(config : Config.t) ~(policy : Scheduler.policy)
   let makespan =
     Array.fold_left (fun acc inst -> max acc inst.Task.completed_at) 0 instances
   in
+  (* Latencies of completed instances only: an aborted run leaves
+     some at [completed_at = -1]. *)
   let app_tbl = Hashtbl.create 4 in
   Array.iter
     (fun inst ->
       let name = inst.Task.app.App_spec.app_name in
-      let lat = inst.Task.completed_at - inst.Task.arrival_ns in
       let lats = Option.value ~default:[] (Hashtbl.find_opt app_tbl name) in
-      Hashtbl.replace app_tbl name (lat :: lats))
+      let lats =
+        if inst.Task.completed_at < 0 then lats
+        else (inst.Task.completed_at - inst.Task.arrival_ns) :: lats
+      in
+      Hashtbl.replace app_tbl name lats)
     instances;
   let app_stats =
     Hashtbl.fold

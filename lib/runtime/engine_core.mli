@@ -17,7 +17,7 @@
     heap, deterministic virtual nanoseconds); the native engine
     instantiates it over OCaml 5 domains (mutex/condvar, monotonic
     wall clock).  Every protocol-level feature — reservation queues,
-    live ready-list accounting, occupancy-based utilisation, the
+    the shared ready list, occupancy-based utilisation, the
     dense estimate table — therefore lands in both engines at once. *)
 
 (** {1 Parameters} *)
@@ -259,9 +259,8 @@ type service_ops = {
           entry tasks ready; returns how many tasks that was *)
   so_cancel : Task.instance -> unit;
       (** watchdog abort: marks the instance cancelled (suppressing
-          successor release), withdraws its Ready tasks by the same
-          lazy-deletion trick dispatch uses, and purges its retry
-          entries.  Only call on instances with no Running task — an
+          successor release), unlinks its Ready tasks from the ready
+          list, and purges its retry entries.  Only call on instances with no Running task — an
           in-flight attempt must drain naturally first. *)
   so_ready_live : unit -> int;  (** live ready-list length *)
   so_inflight : unit -> int;  (** dispatched-but-unmonitored count *)
@@ -300,14 +299,15 @@ val workload_manager :
   unit
 (** The workload-manager loop (Fig. 3): monitor completions (releasing
     successors and charging per-PE monitoring cost), inject arrived
-    instances, and invoke the policy over a snapshot of the ready
-    window and PE states ({!Scheduler.context}, estimate queries
-    backed by the dense table) — once per completion at capacity 1, as
-    the paper prescribes, or batched per sweep when reservation queues
-    are configured.  The ready queue deletes dispatched entries
-    lazily; the charged O(n)/O(n²) policy cost follows a live-count
-    accounting, not [Queue.length].  Returns once every instance has
-    completed and all handlers have been told to stop.
+    instances, and invoke the policy over the ready window and PE
+    states ({!Scheduler.context} over the run's {!Ready} list,
+    estimate queries backed by the dense table) — once per completion
+    at capacity 1, as the paper prescribes, or batched per sweep when
+    reservation queues are configured.  Dispatch unlinks each task
+    from the list and drops an assignment whose task is no longer
+    ready; the charged O(n)/O(n²) policy cost follows the list's
+    length.  Returns once every instance has completed and all
+    handlers have been told to stop.
 
     With [obs] (default {!Dssoc_obs.Obs.disabled}, a guaranteed no-op)
     the loop emits injection / ready / scheduler-invocation / dispatch
@@ -318,7 +318,8 @@ val workload_manager :
 
     With [fault] the loop becomes resilient: failed attempts are
     counted and retried with capped exponential backoff under a
-    per-task attempt budget; failing PEs are quarantined (policies see
+    per-task attempt budget (a retried task re-enters the ready list
+    once, at its tail); failing PEs are quarantined (policies see
     them as unavailable) with timed recovery for transients and
     permanent removal for deaths — a dead PE's reservation queue
     drains back to the ready list and its tasks re-dispatch onto

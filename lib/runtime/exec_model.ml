@@ -45,12 +45,10 @@ let estimate_ns (task : Task.t) pe =
    and the PE class, so the engines precompute the whole
    (task, pe_index) matrix at instantiation time; the inner scheduling
    loops then do a single int-array load instead of hashing a
-   polymorphic key.  Unsupported pairs hold a sentinel that [lookup]
-   never returns because policies check [Task.supports] first. *)
+   polymorphic key.  Unsupported pairs hold [Scheduler.unsupported],
+   which is how the policies tell support. *)
 
 type table = { base_id : int; stride : int; data : int array }
-
-let unsupported_sentinel = min_int
 
 let build_table ~(instances : Task.instance array) ~(pes : Pe.t array) =
   let base_id, max_id =
@@ -64,7 +62,7 @@ let build_table ~(instances : Task.instance array) ~(pes : Pe.t array) =
   let stride = Array.length pes in
   if max_id < base_id || stride = 0 then { base_id = 0; stride; data = [||] }
   else begin
-    let data = Array.make ((max_id - base_id + 1) * stride) unsupported_sentinel in
+    let data = Array.make ((max_id - base_id + 1) * stride) Scheduler.unsupported in
     (* Many tasks share cost metadata (all 256 pulse-Doppler FFT nodes
        price identically), so memoize the build itself on the metadata
        key; the memo is local to this call, not shared state. *)

@@ -25,12 +25,12 @@ type table
 val build_table : instances:Task.instance array -> pes:Dssoc_soc.Pe.t array -> table
 (** Price every (task, pe) pair once, up front.  Task ids may start at
     any base but must be dense (as [Task.instantiate] produces them).
-    Unsupported pairs are representable but must never be looked up. *)
+    Unsupported pairs hold {!Scheduler.unsupported}. *)
 
 val lookup : table -> Task.t -> int -> int
 (** [lookup tbl task pe_index] = [estimate_ns task pes.(pe_index)],
-    as a single array load.  Only meaningful when the task supports
-    the PE (callers check {!Task.supports} first). *)
+    as a single array load, or {!Scheduler.unsupported} when the task
+    does not support the PE. *)
 
 val accel_phases_ns : Task.t -> Dssoc_soc.Pe.accel_class -> int * int * int
 (** [(dma_in, device_compute, dma_out)]; DMA sizes come from the node's

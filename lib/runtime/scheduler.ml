@@ -13,7 +13,7 @@ type pe_state = {
 
 type context = {
   now : int;
-  ready : Task.t array;
+  ready : Ready.t;
   nready : int;
   pes : pe_state array;
   estimate : Task.t -> int -> int;
@@ -24,6 +24,16 @@ type context = {
 type assignment = { task : Task.t; pe_index : int }
 
 type policy = { name : string; schedule : context -> assignment list }
+
+let unsupported = min_int
+
+let iter_window ctx f =
+  let r = ctx.ready in
+  let c = ref r.Ready.head in
+  for _ = 1 to ctx.nready do
+    f r.Ready.tasks.(!c);
+    c := r.Ready.next.(!c)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Built-ins                                                           *)
@@ -36,22 +46,26 @@ type policy = { name : string; schedule : context -> assignment list }
    scratch, so once no idle PE remains the rest of the window cannot
    change the result and the scan stops there.  [ops] is still charged
    as a walk of the whole window, [nready * n_pes] examinations (see
-   DESIGN.md §9, "stop at the idle budget, count the rest"). *)
+   DESIGN.md §9, "stop at the idle budget, count the rest").  Support
+   is read off the estimate table ([unsupported]), never re-derived
+   from the task's platform list. *)
 let scan ctx pick =
   let pes = ctx.pes in
   let n_idle = ref 0 in
   for i = 0 to Array.length pes - 1 do
     if pes.(i).idle then incr n_idle
   done;
-  let out = ref [] and j = ref 0 in
+  let r = ctx.ready in
+  let out = ref [] and c = ref r.Ready.head and j = ref 0 in
   while !j < ctx.nready && !n_idle > 0 do
-    let task = ctx.ready.(!j) in
+    let task = r.Ready.tasks.(!c) in
     let i = pick task in
     if i >= 0 && pes.(i).idle then begin
       pes.(i).idle <- false;
       decr n_idle;
       out := { task; pe_index = i } :: !out
     end;
+    c := r.Ready.next.(!c);
     incr j
   done;
   ctx.ops <- ctx.ops + (ctx.nready * Array.length pes);
@@ -63,7 +77,7 @@ let frfs =
         let chosen = ref (-1) and i = ref 0 in
         while !chosen < 0 && !i < Array.length ctx.pes do
           let st = ctx.pes.(!i) in
-          if st.idle && Task.supports task st.pe then chosen := !i;
+          if st.idle && ctx.estimate task !i <> unsupported then chosen := !i;
           incr i
         done;
         !chosen)
@@ -76,9 +90,9 @@ let met =
         let best = ref (-1) and best_est = ref 0 in
         for i = 0 to Array.length ctx.pes - 1 do
           let st = ctx.pes.(i) in
-          if st.idle && Task.supports task st.pe then begin
+          if st.idle then begin
             let est = ctx.estimate task i in
-            if !best < 0 || est < !best_est then begin
+            if est <> unsupported && (!best < 0 || est < !best_est) then begin
               best := i;
               best_est := est
             end
@@ -102,12 +116,15 @@ let eft =
         let best = ref (-1) and best_finish = ref 0 in
         for i = 0 to Array.length ctx.pes - 1 do
           let st = ctx.pes.(i) in
-          if st.available && Task.supports task st.pe then begin
-            let a = avail.(i) in
-            let finish = (if a > now then a else now) + ctx.estimate task i in
-            if !best < 0 || finish < !best_finish then begin
-              best := i;
-              best_finish := finish
+          if st.available then begin
+            let est = ctx.estimate task i in
+            if est <> unsupported then begin
+              let a = avail.(i) in
+              let finish = (if a > now then a else now) + est in
+              if !best < 0 || finish < !best_finish then begin
+                best := i;
+                best_finish := finish
+              end
             end
           end
         done;
@@ -122,16 +139,19 @@ let power =
         let best = ref (-1) and best_energy = ref 0.0 and best_est = ref 0 in
         for i = 0 to Array.length ctx.pes - 1 do
           let st = ctx.pes.(i) in
-          if st.idle && Task.supports task st.pe then begin
+          if st.idle then begin
             let est = ctx.estimate task i in
             (* Energy-to-completion for this task on this PE; ties
                broken by execution time. *)
-            let energy = float_of_int est *. Pe.busy_w st.pe.Pe.kind in
-            if !best < 0 || energy < !best_energy || (energy = !best_energy && est < !best_est)
-            then begin
-              best := i;
-              best_energy := energy;
-              best_est := est
+            if est <> unsupported then begin
+              let energy = float_of_int est *. Pe.busy_w st.pe.Pe.kind in
+              if
+                !best < 0 || energy < !best_energy || (energy = !best_energy && est < !best_est)
+              then begin
+                best := i;
+                best_energy := energy;
+                best_est := est
+              end
             end
           end
         done;
@@ -148,7 +168,7 @@ let random =
         let n = ref 0 in
         for i = Array.length ctx.pes - 1 downto 0 do
           let st = ctx.pes.(i) in
-          if st.idle && Task.supports task st.pe then begin
+          if st.idle && ctx.estimate task i <> unsupported then begin
             cand.(!n) <- i;
             incr n
           end

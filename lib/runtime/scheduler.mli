@@ -1,11 +1,12 @@
 (** Task-scheduling policy library (Section II-C).
 
-    The workload manager hands the policy a snapshot of the ready-task
+    The workload manager hands the policy a window on its ready-task
     list and the PE states; the policy returns assignments of ready
     tasks to *idle* PEs.  The default library implements the paper's
     four policies — FRFS, MET, EFT and RANDOM — and user policies can
     be registered under new names (the paper's "custom scheduling
-    algorithm" hook). *)
+    algorithm" hook).  Every engine, the compiled one included, calls
+    a registered policy through the same {!context}. *)
 
 type pe_state = {
   pe : Dssoc_soc.Pe.t;
@@ -22,19 +23,22 @@ type pe_state = {
 
 type context = {
   now : int;
-  ready : Task.t array;
-      (** ready-window snapshot in ready (FIFO) order; only entries
-          [0, nready) are valid — the array is engine-owned scratch
-          reused across invocations and may be longer (or hold stale
-          tasks) past that point *)
-  nready : int;  (** number of valid entries at the front of [ready] *)
+  ready : Ready.t;
+      (** the engine's live ready list, in ready (FIFO) order.  The
+          policy sees its first [nready] entries (the window); walk
+          them with {!iter_window}.  The list may be longer, and a
+          policy must not modify it. *)
+  nready : int;
+      (** window length: the list's length, capped at
+          {!Dssoc_soc.Cost_model.sched_examined_cap} *)
   pes : pe_state array;
   estimate : Task.t -> int -> int;
       (** [estimate task pe_index]: modelled execution time on
-          [pes.(pe_index)].  The engines back this with a dense
-          precomputed table ({!Exec_model.build_table}), so calling it
-          in an inner loop is one array load.  Only defined when the
-          task supports that PE — check {!Task.supports} first. *)
+          [pes.(pe_index)], or {!unsupported} when the task cannot run
+          on that PE.  The engines back this with a dense precomputed
+          table ({!Exec_model.build_table}), so calling it in an inner
+          loop is one array load; it also answers the support question
+          more cheaply than {!Task.supports}. *)
   prng : Dssoc_util.Prng.t;
   mutable ops : int;
       (** policies increment this per elementary examination; the
@@ -46,6 +50,15 @@ type context = {
 type assignment = { task : Task.t; pe_index : int }
 
 type policy = { name : string; schedule : context -> assignment list }
+(** [schedule] returns assignments of window tasks to idle PEs.  The
+    engine dispatches them in list order and drops an assignment whose
+    task is no longer ready (e.g. a task returned twice). *)
+
+val unsupported : int
+(** The {!field:estimate} of an unsupported (task, PE) pair: [min_int]. *)
+
+val iter_window : context -> (Task.t -> unit) -> unit
+(** Apply a function to the window's tasks, in ready order. *)
 
 (** {1 Built-in policies} *)
 

@@ -25,7 +25,7 @@ type pe_usage = {
 }
 
 type app_summary = {
-  instances : int;
+  instances : int;  (** completed instances; an aborted run may leave some unfinished *)
   mean_latency_ns : float;  (** arrival to last-task completion *)
   max_latency_ns : int;
 }

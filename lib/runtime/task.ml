@@ -84,7 +84,8 @@ let entry_matches (e : App_spec.platform_entry) (pe : Pe.t) =
 
 let platform_entry_for t pe = List.find_opt (fun e -> entry_matches e pe) t.node.App_spec.platforms
 
-(* On every policy's inner loop: a plain walk, no closure or option. *)
+(* A plain walk, no closure or option: instantiation and fault
+   handling call it per (task, PE). *)
 let rec any_entry_matches pe = function
   | [] -> false
   | e :: rest -> entry_matches e pe || any_entry_matches pe rest

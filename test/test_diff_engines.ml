@@ -613,6 +613,104 @@ let test_compiled_plan_purity () =
   Alcotest.(check string) "plan 2 unchanged after interleaved runs" baseline
     (Stats.records_csv (Compiled.run p2 params))
 
+(* Policies the compiled engine knows nothing about run through the
+   same [Scheduler.context] as on the virtual engine.  LIFO_RANDOM
+   takes the window newest first and sends each task to a seeded-random
+   idle supporting PE: a replay must hand it the same window, PE states,
+   estimates and PRNG stream on both engines. *)
+let lifo_random =
+  {
+    Scheduler.name = "LIFO_RANDOM";
+    schedule =
+      (fun ctx ->
+        let newest_first = ref [] in
+        Scheduler.iter_window ctx (fun t -> newest_first := t :: !newest_first);
+        let pes = ctx.Scheduler.pes in
+        List.filter_map
+          (fun task ->
+            let cands =
+              List.filter
+                (fun i ->
+                  ctx.Scheduler.ops <- ctx.Scheduler.ops + 1;
+                  pes.(i).Scheduler.idle && ctx.Scheduler.estimate task i <> Scheduler.unsupported)
+                (List.init (Array.length pes) Fun.id)
+            in
+            match cands with
+            | [] -> None
+            | _ ->
+              let i = List.nth cands (Prng.int ctx.Scheduler.prng (List.length cands)) in
+              pes.(i).Scheduler.idle <- false;
+              Some { Scheduler.task; pe_index = i })
+          !newest_first);
+  }
+
+(* A faulty policy: the oldest window task goes to every idle PE that
+   supports it.  Dispatch must take the first assignment and drop the
+   rest, on both engines. *)
+let oldest_everywhere =
+  {
+    Scheduler.name = "OLDEST_EVERYWHERE";
+    schedule =
+      (fun ctx ->
+        let out = ref [] in
+        if ctx.Scheduler.nready > 0 then begin
+          let task = ref None in
+          Scheduler.iter_window ctx (fun t -> if !task = None then task := Some t);
+          let task = Option.get !task in
+          Array.iteri
+            (fun i (st : Scheduler.pe_state) ->
+              if st.Scheduler.idle && ctx.Scheduler.estimate task i <> Scheduler.unsupported then
+                out := { Scheduler.task; pe_index = i } :: !out)
+            ctx.Scheduler.pes
+        end;
+        List.rev !out);
+  }
+
+let custom_params =
+  [
+    { Engine_core.seed = 7L; jitter = 0.0; reservation_depth = 0 };
+    { Engine_core.seed = 3L; jitter = 0.03; reservation_depth = 1 };
+    { Engine_core.seed = 11L; jitter = 0.03; reservation_depth = 3 };
+  ]
+
+let check_custom_policy_replay (policy : Scheduler.policy) check_run =
+  Scheduler.register policy;
+  List.iter
+    (fun (scen, config_fn, wl_fn) ->
+      let config = config_fn () in
+      let plan = Compiled.compile ~config ~workload:(wl_fn ()) ~policy () in
+      List.iter
+        (fun (params : Engine_core.params) ->
+          let label =
+            Printf.sprintf "%s/%s/seed%Ld/depth%d/jitter%.2f" scen policy.Scheduler.name
+              params.Engine_core.seed params.Engine_core.reservation_depth params.Engine_core.jitter
+          in
+          let vr, vi =
+            Result.get_ok
+              (Emulator.run_detailed ~engine:(Emulator.Virtual params)
+                 ~policy:policy.Scheduler.name ~config ~workload:(wl_fn ()) ())
+          in
+          let cr, ci = Compiled.run_detailed plan params in
+          check_run label vr;
+          check_csv_identical label (Stats.records_csv vr) (Stats.records_csv cr);
+          Alcotest.(check bool) (label ^ ": same report") true (vr = cr);
+          check_stores_identical label vi ci)
+        custom_params)
+    compiled_scenarios
+
+let test_custom_policy_exact_replay () =
+  check_custom_policy_replay lifo_random (fun label r ->
+      Alcotest.(check string) (label ^ ": verdict") "completed" (Stats.verdict_name r.Stats.verdict))
+
+let test_duplicate_assignments_dropped () =
+  check_custom_policy_replay oldest_everywhere (fun label r ->
+      let keys =
+        List.map (fun (t : Stats.task_record) -> (t.Stats.instance, t.Stats.node)) r.Stats.records
+      in
+      Alcotest.(check int) (label ^ ": every task ran") r.Stats.task_count (List.length keys);
+      Alcotest.(check int) (label ^ ": each task once") (List.length keys)
+        (List.length (List.sort_uniq compare keys)))
+
 let test_compiled_rejects_fault_plans () =
   let config = Config.zcu102_cores_ffts ~cores:2 ~ffts:1 in
   let workload = Workload.validation [ (Reference_apps.wifi_tx (), 1) ] in
@@ -905,6 +1003,9 @@ let () =
           Alcotest.test_case "plan purity under interleaved runs" `Quick
             test_compiled_plan_purity;
           Alcotest.test_case "fault plans rejected" `Quick test_compiled_rejects_fault_plans;
+          Alcotest.test_case "custom policy replays exactly" `Slow test_custom_policy_exact_replay;
+          Alcotest.test_case "duplicate assignments dropped" `Slow
+            test_duplicate_assignments_dropped;
           qtest qcheck_compiled_respects_adjacency;
           qtest qcheck_compiled_replays_virtual;
           qtest qcheck_compiled_rejects_faults;

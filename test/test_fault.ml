@@ -16,6 +16,7 @@ module Scheduler = Dssoc_runtime.Scheduler
 module Native_engine = Dssoc_runtime.Native_engine
 module Config = Dssoc_soc.Config
 module Reference_apps = Dssoc_apps.Reference_apps
+module App_spec = Dssoc_apps.App_spec
 module Workload = Dssoc_apps.Workload
 module Obs = Dssoc_obs.Obs
 
@@ -253,6 +254,109 @@ let test_deterministic_replay () =
   Alcotest.(check bool) "fault seed matters" true
     (r3.Stats.resilience <> r1.Stats.resilience || r3.Stats.makespan_ns <> r1.Stats.makespan_ns)
 
+(* A retried task re-enters the ready list once.  Every completed
+   (instance, node) must have completed exactly once, and only after
+   all of its predecessors: a task listed twice in the ready window
+   can be dispatched twice, and its second completion releases
+   successors early. *)
+let dag_violations (workload : Workload.t) (r : Stats.report) =
+  let specs =
+    Array.of_list (List.map (fun (i : Workload.item) -> i.Workload.spec) workload.Workload.items)
+  in
+  let done_at = Hashtbl.create 1024 and bad = ref [] in
+  List.iter
+    (fun (t : Stats.task_record) ->
+      let key = (t.Stats.instance, t.Stats.node) in
+      if Hashtbl.mem done_at key then
+        bad :=
+          Printf.sprintf "%s,%d,%s completed twice" t.Stats.app t.Stats.instance t.Stats.node
+          :: !bad;
+      Hashtbl.replace done_at key t.Stats.completed_ns)
+    r.Stats.records;
+  List.iter
+    (fun (t : Stats.task_record) ->
+      let spec = specs.(t.Stats.instance) in
+      let node =
+        List.find
+          (fun (n : App_spec.node) -> n.App_spec.node_name = t.Stats.node)
+          spec.App_spec.nodes
+      in
+      List.iter
+        (fun pred ->
+          match Hashtbl.find_opt done_at (t.Stats.instance, pred) with
+          | Some c when c <= t.Stats.ready_ns -> ()
+          | _ ->
+            bad :=
+              Printf.sprintf "%s,%d,%s ready at %d before %s completed" t.Stats.app t.Stats.instance
+                t.Stats.node t.Stats.ready_ns pred
+              :: !bad)
+        node.App_spec.predecessors)
+    r.Stats.records;
+  List.rev !bad
+
+let test_retries_dispatch_once () =
+  let config = Config.zcu102_cores_ffts ~cores:2 ~ffts:2 in
+  let workload = Workload.table2_workload ~window_ms:3.0 ~rate:6.92 () in
+  let plan = plan_of_spec "*:transient:p=0.2:recover=0.1ms" in
+  List.iter
+    (fun policy ->
+      let r =
+        Result.get_ok
+          (Emulator.run ~engine:(Emulator.virtual_seeded 1L) ~policy ~fault:plan ~config ~workload ())
+      in
+      Alcotest.(check bool) (policy ^ ": retries happened") true
+        (r.Stats.resilience.Stats.task_retries > 0);
+      Alcotest.(check (list string)) (policy ^ ": each task once, after its predecessors") []
+        (dag_violations workload r))
+    [ "FRFS"; "MET"; "EFT"; "RANDOM"; "POWER" ]
+
+(* An aborted run leaves instances unfinished; the per-app latency
+   summaries cover the completed ones only, counted here from the task
+   records. *)
+let test_aborted_run_latencies () =
+  let config = Config.zcu102_cores_ffts ~cores:3 ~ffts:2 in
+  let workload = Workload.table2_workload ~window_ms:10.0 ~rate:6.92 () in
+  let plan = plan_of_spec "*:transient:p=0.2:recover=0.1ms" in
+  let r =
+    Result.get_ok
+      (Emulator.run ~engine:(Emulator.virtual_seeded ~jitter:0.0 3L) ~policy:"RANDOM" ~fault:plan
+         ~config ~workload ())
+  in
+  (match r.Stats.verdict with
+  | Stats.Aborted _ -> ()
+  | v -> Alcotest.failf "expected an abort, got %s" (Stats.verdict_name v));
+  let items = Array.of_list workload.Workload.items in
+  let tasks_done = Array.make (Array.length items) 0 and last = Array.make (Array.length items) 0 in
+  List.iter
+    (fun (t : Stats.task_record) ->
+      let i = t.Stats.instance in
+      tasks_done.(i) <- tasks_done.(i) + 1;
+      last.(i) <- max last.(i) t.Stats.completed_ns)
+    r.Stats.records;
+  let unfinished = ref 0 in
+  List.iter
+    (fun (app, (s : Stats.app_summary)) ->
+      let lats = ref [] in
+      Array.iteri
+        (fun i (it : Workload.item) ->
+          let spec = it.Workload.spec in
+          if spec.App_spec.app_name = app then
+            if tasks_done.(i) = List.length spec.App_spec.nodes then
+              lats := (last.(i) - it.Workload.arrival_ns) :: !lats
+            else incr unfinished)
+        items;
+      (* An instance completes when the manager monitors its last
+         task, at or after that task's own completion. *)
+      let max_lat = List.fold_left max 0 !lats in
+      Alcotest.(check int) (app ^ " completed instances") (List.length !lats) s.Stats.instances;
+      Alcotest.(check bool) (app ^ " latencies in range") true
+        (0.0 <= s.Stats.mean_latency_ns
+        && s.Stats.mean_latency_ns <= float_of_int s.Stats.max_latency_ns
+        && max_lat <= s.Stats.max_latency_ns
+        && s.Stats.max_latency_ns <= r.Stats.makespan_ns))
+    r.Stats.app_stats;
+  Alcotest.(check bool) "some instances unfinished" true (!unfinished > 0)
+
 (* ---------------- event-level safety property ---------------- *)
 
 (* No Task_dispatched event may target a PE inside one of its
@@ -384,6 +488,9 @@ let () =
           Alcotest.test_case "budget exhaustion aborts" `Slow test_budget_exhaustion_aborts;
           Alcotest.test_case "no surviving PE aborts" `Quick test_no_survivor_aborts;
           Alcotest.test_case "deterministic replay" `Slow test_deterministic_replay;
+          Alcotest.test_case "retries dispatch each task once" `Slow test_retries_dispatch_once;
+          Alcotest.test_case "aborted runs average completed instances" `Slow
+            test_aborted_run_latencies;
           qtest prop_no_dispatch_to_quarantined;
         ] );
       ( "observability",

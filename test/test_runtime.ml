@@ -1,5 +1,6 @@
 module Task = Dssoc_runtime.Task
 module Scheduler = Dssoc_runtime.Scheduler
+module Ready = Dssoc_runtime.Ready
 module Exec_model = Dssoc_runtime.Exec_model
 module Emulator = Dssoc_runtime.Emulator
 module Stats = Dssoc_runtime.Stats
@@ -50,13 +51,24 @@ let test_supports_generic_cpu () =
 
 (* ---------------------- Scheduler ---------------------- *)
 
+(* A ready list holding [tasks] in order, sized past the largest id. *)
+let ready_of tasks =
+  let r = Ready.create (1 + List.fold_left (fun m (t : Task.t) -> max m t.Task.id) 0 tasks) in
+  List.iter (Ready.append r) tasks;
+  r
+
+(* The engines' estimate contract: the sentinel for unsupported pairs. *)
+let estimate_of pes t i =
+  let pe = pes.(i).Scheduler.pe in
+  if Task.supports t pe then Exec_model.estimate_ns t pe else Scheduler.unsupported
+
 let mk_ctx ?(now = 0) ready pes =
   {
     Scheduler.now;
-    ready = Array.of_list ready;
+    ready = ready_of ready;
     nready = List.length ready;
     pes;
-    estimate = (fun t i -> Exec_model.estimate_ns t pes.(i).Scheduler.pe);
+    estimate = estimate_of pes;
     prng = Prng.create ~seed:1L;
     ops = 0;
   }
@@ -72,6 +84,32 @@ let pe_states kinds =
        (fun i kind ->
          { Scheduler.pe = Pe.make ~id:i ~kind; idle = true; busy_until = 0; available = true })
        kinds)
+
+let test_ready_list () =
+  let tasks = rd_tasks () in
+  let r = ready_of [ tasks.(0); tasks.(1); tasks.(2) ] in
+  let ids () =
+    let c = ref r.Ready.head and out = ref [] in
+    while !c >= 0 do
+      out := r.Ready.tasks.(!c).Task.id :: !out;
+      c := r.Ready.next.(!c)
+    done;
+    List.rev !out
+  in
+  Ready.remove r tasks.(1);
+  Alcotest.(check (list int)) "unlinked from the middle" [ 0; 2 ] (ids ());
+  Ready.append r tasks.(1);
+  Alcotest.(check (list int)) "re-enters at the tail" [ 0; 2; 1 ] (ids ());
+  Ready.remove r tasks.(0);
+  Ready.remove r tasks.(1);
+  Alcotest.(check (list int)) "head and tail unlinked" [ 2 ] (ids ());
+  Alcotest.(check int) "length" 1 (Ready.length r);
+  Alcotest.(check bool) "member" true (Ready.mem r tasks.(2));
+  Alcotest.(check bool) "non-member" false (Ready.mem r tasks.(0));
+  Alcotest.check_raises "no second copy" (Invalid_argument "Ready.append: task 2 is already ready")
+    (fun () -> Ready.append r tasks.(2));
+  Alcotest.check_raises "no unlink of a non-member" (Invalid_argument "Ready.remove: task 0 is not ready")
+    (fun () -> Ready.remove r tasks.(0))
 
 let test_frfs_order () =
   let tasks = rd_tasks () in
@@ -543,10 +581,10 @@ let prop_policies_respect_assignment_invariants =
           let ctx =
             {
               Scheduler.now = 0;
-              ready = Array.of_list ready;
+              ready = ready_of ready;
               nready = List.length ready;
               pes;
-              estimate = (fun t i -> Exec_model.estimate_ns t pes.(i).Scheduler.pe);
+              estimate = estimate_of pes;
               prng = Prng.create ~seed:(Int64.of_int sc.sc_seed);
               ops = 0;
             }
@@ -587,10 +625,10 @@ let prop_eft_no_worse_than_met_when_all_idle =
         let ctx =
           {
             Scheduler.now = 0;
-            ready = [| task |];
+            ready = ready_of [ task ];
             nready = 1;
             pes;
-            estimate = (fun t i -> Exec_model.estimate_ns t pes.(i).Scheduler.pe);
+            estimate = estimate_of pes;
             prng = Prng.create ~seed:(Int64.of_int sc.sc_seed);
             ops = 0;
           }
@@ -627,10 +665,7 @@ let prop_virtual_deterministic_across_policies =
 module Oracle = struct
   open Scheduler
 
-  let iter_ready f ctx =
-    for j = 0 to ctx.nready - 1 do
-      f ctx.ready.(j)
-    done
+  let iter_ready f ctx = iter_window ctx f
 
   let frfs ctx =
     let out = ref [] in
@@ -818,8 +853,8 @@ let equiv_print sc =
     (ints sc.eq_kinds) (ints sc.eq_states) (ints sc.eq_busy_until) sc.eq_window sc.eq_offset
     sc.eq_stride sc.eq_tie_mod sc.eq_now sc.eq_seed
 
-(* A fresh context for one run; [ready] carries stale entries past
-   [nready], as the engines' reused scratch array does. *)
+(* A fresh context for one run; [ready] carries entries past [nready],
+   as an engine's list longer than the window does. *)
 let equiv_ctx sc =
   let n = Array.length big_task_pool in
   let window =
@@ -845,10 +880,17 @@ let equiv_ctx sc =
   in
   {
     Scheduler.now = sc.eq_now;
-    ready = Array.of_list (window @ [ big_task_pool.(0); big_task_pool.(1) ]);
+    ready =
+      ready_of
+        (window
+        @ List.filter (fun t -> not (List.memq t window)) [ big_task_pool.(0); big_task_pool.(1) ]);
     nready = List.length window;
     pes;
-    estimate = (fun t i -> 1_000 * (1 + ((t.Task.id + (3 * i)) mod sc.eq_tie_mod)));
+    estimate =
+      (fun t i ->
+        if Task.supports t pes.(i).Scheduler.pe then
+          1_000 * (1 + ((t.Task.id + (3 * i)) mod sc.eq_tie_mod))
+        else Scheduler.unsupported);
     prng = Prng.create ~seed:(Int64.of_int sc.eq_seed);
     ops = 0;
   }
@@ -895,10 +937,11 @@ let test_builtin_scan_allocation_bounded () =
     let ctx =
       {
         Scheduler.now = 0;
-        ready = Array.sub cpu_only 0 256;
+        ready = ready_of (Array.to_list (Array.sub cpu_only 0 256));
         nready;
         pes;
-        estimate = (fun _ i -> 100 * (i + 1));
+        estimate =
+          (fun t i -> if Task.supports t pes.(i).Scheduler.pe then 100 * (i + 1) else Scheduler.unsupported);
         prng = Prng.create ~seed:1L;
         ops = 0;
       }
@@ -929,6 +972,7 @@ let () =
         ] );
       ( "scheduler",
         [
+          Alcotest.test_case "ready list" `Quick test_ready_list;
           Alcotest.test_case "frfs order" `Quick test_frfs_order;
           Alcotest.test_case "frfs skips unsupported" `Quick test_frfs_skips_unsupported;
           Alcotest.test_case "met min exec" `Quick test_met_picks_min_exec;
