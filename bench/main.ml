@@ -583,6 +583,59 @@ let ablation () =
 (* Engine throughput: whole-emulation repetition rate                  *)
 (* ------------------------------------------------------------------ *)
 
+type spread = { xs : float array; med : float; min : float; iqr : float }
+
+let summary xs =
+  {
+    xs;
+    med = Quantile.median xs;
+    min = Quantile.min xs;
+    iqr = Quantile.quantile xs 0.75 -. Quantile.quantile xs 0.25;
+  }
+
+type timing = { emu_s : spread; runs : int; wall_s : float }
+
+(* The bench's one timing loop.  [interleaved fs] takes [samples]
+   timed slices of each thunk, the thunks alternating within every
+   round, so that host drift between rounds hits every thunk alike and
+   cancels out of per-round ratios.  A slice runs its thunk at least
+   once and until [slice_ns] have passed; its rate is runs per second.
+   Callers warm each thunk up first. *)
+let interleaved ?(samples = 7) ?(slice_ns = 150_000_000) fs =
+  let fs = Array.of_list fs in
+  let rates = Array.map (fun _ -> Array.make samples 0.0) fs in
+  let runs = Array.make (Array.length fs) 0 and wall = Array.make (Array.length fs) 0 in
+  for s = 0 to samples - 1 do
+    Array.iteri
+      (fun i f ->
+        let t0 = Mclock.now_ns () in
+        let n = ref 0 in
+        while !n = 0 || Mclock.now_ns () - t0 < slice_ns do
+          f ();
+          incr n
+        done;
+        let dt = Mclock.now_ns () - t0 in
+        rates.(i).(s) <- float_of_int !n /. (float_of_int dt /. 1e9);
+        runs.(i) <- runs.(i) + !n;
+        wall.(i) <- wall.(i) + dt)
+      fs
+  done;
+  Array.mapi
+    (fun i r ->
+      { emu_s = summary r; runs = runs.(i); wall_s = float_of_int wall.(i) /. 1e9 })
+    rates
+
+module Compiled = Dssoc_runtime.Compiled_engine
+
+(* Compile once outside the timing loop — the compiled engine's
+   intended reuse pattern — so emulations/s measures the run alone. *)
+let compiled_plan config wl policy =
+  let pol =
+    match Dssoc_runtime.Scheduler.find policy with Ok p -> p | Error msg -> invalid_arg msg
+  in
+  ( Compiled.compile ~config ~workload:(wl ()) ~policy:pol (),
+    { Dssoc_runtime.Engine_core.seed = 1L; jitter = 0.0; reservation_depth = 0 } )
+
 let engine () =
   let module Json = Dssoc_json.Json in
   let mix () = Workload.validation (List.map (fun a -> (a, 1)) (Reference_apps.all ())) in
@@ -671,140 +724,66 @@ let engine () =
           Emulator.run_exn ~engine:(Emulator.native_seeded 1L) ~policy ~config
             ~workload:(wl ()) ()
       | `Compiled ->
-        let module Compiled = Dssoc_runtime.Compiled_engine in
-        let pol =
-          match Dssoc_runtime.Scheduler.find policy with
-          | Ok p -> p
-          | Error msg -> invalid_arg msg
-        in
-        let plan = Compiled.compile ~config ~workload:(wl ()) ~policy:pol () in
-        let params =
-          { Dssoc_runtime.Engine_core.seed = 1L; jitter = 0.0; reservation_depth = 0 }
-        in
+        let plan, params = compiled_plan config wl policy in
         fun () -> Compiled.run plan params
     in
     let sample = once () (* warm-up; also yields the per-run task count *) in
-    let target_ns = 1_000_000_000 and min_runs = 3 in
-    let t0 = Mclock.now_ns () in
-    let runs = ref 0 in
-    while !runs < min_runs || Mclock.now_ns () - t0 < target_ns do
-      ignore (once ());
-      incr runs
-    done;
-    let wall_s = float_of_int (Mclock.now_ns () - t0) /. 1e9 in
-    let emu_per_s = float_of_int !runs /. wall_s in
-    ( name,
-      variant_name variant,
-      sample,
-      !runs,
-      wall_s,
-      emu_per_s,
-      emu_per_s *. float_of_int sample.Stats.task_count )
+    let t = interleaved [ (fun () -> ignore (once ())) ] in
+    (name, variant_name variant, sample, t.(0))
   in
   let results = List.map measure scenarios in
-  (* Tracing-overhead check: re-run the fig9 3C+2F scenario with the
-     full observation bundle (ring sink + metrics, rebuilt for every
-     run) and compare against the null-sink measurement above.  The
-     null sink is the default everywhere else in this suite; every
-     emit site hides behind a single [Obs.enabled] load, so the
-     scenarios measured above must stay within 2% of a build without
-     observability at all — a regression there means the guard has
-     been lost. *)
-  let baseline_name = "fig9/mix/3C+2F/FRFS" in
-  let rate_of once =
-    once () (* warm-up *);
-    let target_ns = 1_000_000_000 and min_runs = 3 in
-    let t0 = Mclock.now_ns () in
-    let runs = ref 0 in
-    while !runs < min_runs || Mclock.now_ns () - t0 < target_ns do
-      once ();
-      incr runs
-    done;
-    float_of_int !runs /. (float_of_int (Mclock.now_ns () - t0) /. 1e9)
+  let scenario name = List.find (fun (n, _, _, _, _) -> n = name) scenarios in
+  (* Tracing overhead: the untraced and the fully traced run (ring
+     sink + metrics, one bundle reused with [Obs.reset] — a sweep
+     worker's setup) alternate within every round, and the overhead is
+     the median of the per-round ratios, so host drift between rounds
+     cancels out of it.  Virtual: the fig9 3C+2F scenario, whose emit
+     sites hide behind one [Obs.enabled] load.  Compiled: the heaviest
+     compiled scenario, gated in CI — tracing cost beyond the gate
+     means an emit leaked outside its [if traced] guard. *)
+  let tracing_pair name untraced traced =
+    untraced ();
+    traced ();
+    let t = interleaved ~samples:9 ~slice_ns:300_000_000 [ untraced; traced ] in
+    let pct = Array.map2 (fun u tr -> (1.0 -. (tr /. u)) *. 100.0) t.(0).emu_s.xs t.(1).emu_s.xs in
+    (name, t.(0), t.(1), summary pct)
   in
-  let untraced_emu_s name =
-    let _, _, _, _, _, emu_s, _ = List.find (fun (n, _, _, _, _, _, _) -> n = name) results in
-    emu_s
+  let traced_obs wl =
+    Obs.make
+      ~sink:(Obs.Sink.ring ~capacity:(Obs.Sink.capacity_for ~tasks:(Workload.task_count (wl ()))) ())
+      ~metrics:(Obs.Metrics.create ()) ()
   in
-  let traced_emu_s =
-    let _, _, config, wl, policy =
-      List.find (fun (n, _, _, _, _) -> n = baseline_name) scenarios
+  let virtual_tracing =
+    let name, _, config, wl, policy = scenario "fig9/mix/3C+2F/FRFS" in
+    let obs = traced_obs wl in
+    let run ?obs () =
+      ignore (Emulator.run_exn ~engine:det_engine ~policy ~config ~workload:(wl ()) ?obs ())
     in
-    (* One bundle reused across runs with [Obs.reset] — the sweep's
-       usage pattern (one bundle per worker domain). *)
-    let obs = Obs.make ~sink:(Obs.Sink.ring ()) ~metrics:(Obs.Metrics.create ()) () in
-    rate_of (fun () ->
+    tracing_pair name run (fun () ->
         Obs.reset obs;
-        ignore (Emulator.run_exn ~engine:det_engine ~policy ~config ~workload:(wl ()) ~obs ()))
+        run ~obs ())
   in
-  let baseline_emu_s = untraced_emu_s baseline_name in
-  let overhead_pct =
-    (baseline_emu_s -. traced_emu_s) /. baseline_emu_s *. 100.0
+  let compiled_tracing =
+    let name, _, config, wl, policy = scenario "fig10/rate3.42/3C+2F/EFT/compiled" in
+    let plan, params = compiled_plan config wl policy in
+    let obs = traced_obs wl in
+    tracing_pair name
+      (fun () -> ignore (Compiled.run plan params))
+      (fun () ->
+        Obs.reset obs;
+        ignore (Compiled.run ~obs plan params))
   in
-  (* Lowered-tracing overhead on the compiled engine: replay the
-     heaviest compiled scenario with a full observation bundle (ring
-     sink + metrics, rebuilt per run — the sweep's usage pattern)
-     against the untraced flat-array loop measured above.  CI gates on
-     this number: the traced loop shares the untraced one, so tracing
-     cost beyond the gate means an emit leaked outside its
-     [if traced] guard. *)
-  let compiled_traced_name = "fig10/rate3.42/3C+2F/EFT/compiled" in
-  let compiled_baseline_emu_s, compiled_traced_emu_s =
-    let _, _, config, wl, policy =
-      List.find (fun (n, _, _, _, _) -> n = compiled_traced_name) scenarios
-    in
-    let module Compiled = Dssoc_runtime.Compiled_engine in
-    let pol =
-      match Dssoc_runtime.Scheduler.find policy with
-      | Ok p -> p
-      | Error msg -> invalid_arg msg
-    in
-    let plan = Compiled.compile ~config ~workload:(wl ()) ~policy:pol () in
-    let params =
-      { Dssoc_runtime.Engine_core.seed = 1L; jitter = 0.0; reservation_depth = 0 }
-    in
-    let task_count =
-      List.fold_left
-        (fun acc (it : Workload.item) ->
-          acc + List.length it.Workload.spec.App_spec.nodes)
-        0 (wl ()).Workload.items
-    in
-    (* Same observation setup a sweep worker uses for this point: a
-       drop-free ring sized off the task count plus metrics, reused
-       across runs with [Obs.reset]. *)
-    let obs =
-      Obs.make
-        ~sink:(Obs.Sink.ring ~capacity:(max 65536 (32 * task_count)) ())
-        ~metrics:(Obs.Metrics.create ()) ()
-    in
-    let untraced_once () = ignore (Compiled.run plan params) in
-    let traced_once () =
-      Obs.reset obs;
-      ignore (Compiled.run ~obs plan params)
-    in
-    (* The overhead ratio is gated in CI, so untraced and traced runs
-       alternate within one timing loop rather than being measured in
-       separate windows — machine-load drift between windows would
-       otherwise dominate the tracing cost being measured. *)
-    untraced_once ();
-    traced_once ();
-    let t_untraced = ref 0 and t_traced = ref 0 and runs = ref 0 in
-    let target_ns = 2_000_000_000 and min_runs = 5 in
-    while !runs < min_runs || !t_untraced + !t_traced < target_ns do
-      let t0 = Mclock.now_ns () in
-      untraced_once ();
-      let t1 = Mclock.now_ns () in
-      traced_once ();
-      let t2 = Mclock.now_ns () in
-      t_untraced := !t_untraced + (t1 - t0);
-      t_traced := !t_traced + (t2 - t1);
-      incr runs
-    done;
-    let rate t = float_of_int !runs /. (float_of_int t /. 1e9) in
-    (rate !t_untraced, rate !t_traced)
-  in
-  let compiled_overhead_pct =
-    (compiled_baseline_emu_s -. compiled_traced_emu_s) /. compiled_baseline_emu_s *. 100.0
+  let tracing_json (name, (u : timing), (tr : timing), (pct : spread)) =
+    Json.Obj
+      [
+        ("scenario", Json.String name);
+        ("null_sink_emulations_per_s", Json.Float u.emu_s.med);
+        ("full_trace_emulations_per_s", Json.Float tr.emu_s.med);
+        ("overhead_pct", Json.Float pct.med);
+        ("overhead_pct_min", Json.Float pct.min);
+        ("overhead_pct_iqr", Json.Float pct.iqr);
+        ("pairs", Json.Int (Array.length pct.xs));
+      ]
   in
   if !json_mode then
     print_endline
@@ -816,7 +795,8 @@ let engine () =
               ( "scenarios",
                 Json.List
                   (List.map
-                     (fun (name, variant, (sample : Stats.report), runs, wall_s, emu_s, task_s) ->
+                     (fun (name, variant, (sample : Stats.report), (t : timing)) ->
+                       let emu_s = t.emu_s.med in
                        Json.Obj
                          [
                            ("name", Json.String name);
@@ -829,28 +809,17 @@ let engine () =
                              Json.Int sample.Stats.fabric.Stats.fabric_stall_ns );
                            ( "dma_streams",
                              Json.Int sample.Stats.fabric.Stats.dma_streams );
-                           ("runs", Json.Int runs);
-                           ("wall_s", Json.Float wall_s);
+                           ("runs", Json.Int t.runs);
+                           ("wall_s", Json.Float t.wall_s);
                            ("emulations_per_s", Json.Float emu_s);
-                           ("tasks_per_s", Json.Float task_s);
+                           ("emulations_per_s_min", Json.Float t.emu_s.min);
+                           ("emulations_per_s_iqr", Json.Float t.emu_s.iqr);
+                           ( "tasks_per_s",
+                             Json.Float (emu_s *. float_of_int sample.Stats.task_count) );
                          ])
                      results) );
-              ( "tracing_overhead",
-                Json.Obj
-                  [
-                    ("scenario", Json.String baseline_name);
-                    ("null_sink_emulations_per_s", Json.Float baseline_emu_s);
-                    ("full_trace_emulations_per_s", Json.Float traced_emu_s);
-                    ("overhead_pct", Json.Float overhead_pct);
-                  ] );
-              ( "compiled_tracing_overhead",
-                Json.Obj
-                  [
-                    ("scenario", Json.String compiled_traced_name);
-                    ("null_sink_emulations_per_s", Json.Float compiled_baseline_emu_s);
-                    ("full_trace_emulations_per_s", Json.Float compiled_traced_emu_s);
-                    ("overhead_pct", Json.Float compiled_overhead_pct);
-                  ] );
+              ("tracing_overhead", tracing_json virtual_tracing);
+              ("compiled_tracing_overhead", tracing_json compiled_tracing);
             ]))
   else begin
     header
@@ -860,38 +829,39 @@ let engine () =
       (Table.render
          ~header:
            [
-             "scenario"; "engine"; "tasks/emu"; "runs"; "wall s"; "emulations/s"; "tasks/s";
-             "stall ms";
+             "scenario"; "engine"; "tasks/emu"; "runs"; "wall s"; "emulations/s"; "min"; "IQR";
+             "tasks/s"; "stall ms";
            ]
          ~rows:
            (List.map
-              (fun (name, variant, (sample : Stats.report), runs, wall_s, emu_s, task_s) ->
+              (fun (name, variant, (sample : Stats.report), (t : timing)) ->
                 [
                   name;
                   variant;
                   string_of_int sample.Stats.task_count;
-                  string_of_int runs;
-                  Printf.sprintf "%.2f" wall_s;
-                  Printf.sprintf "%.1f" emu_s;
-                  Printf.sprintf "%.0f" task_s;
+                  string_of_int t.runs;
+                  Printf.sprintf "%.2f" t.wall_s;
+                  Printf.sprintf "%.1f" t.emu_s.med;
+                  Printf.sprintf "%.1f" t.emu_s.min;
+                  Printf.sprintf "%.1f" t.emu_s.iqr;
+                  Printf.sprintf "%.0f" (t.emu_s.med *. float_of_int sample.Stats.task_count);
                   Printf.sprintf "%.3f"
                     (float_of_int sample.Stats.fabric.Stats.fabric_stall_ns /. 1e6);
                 ])
               results));
-    Printf.printf
-      "\nTracing overhead on %s: null sink %.1f emu/s,\n\
-       full ring sink + metrics %.1f emu/s (%.1f%% overhead).  The table above\n\
-       uses the default null sink, whose per-event cost is one Obs.enabled load.\n"
-      baseline_name baseline_emu_s traced_emu_s overhead_pct;
-    Printf.printf
-      "\nCompiled-engine lowered tracing on %s:\n\
-       untraced %.1f emu/s, full ring sink + metrics %.1f emu/s (%.1f%% overhead).\n"
-      compiled_traced_name compiled_baseline_emu_s compiled_traced_emu_s
-      compiled_overhead_pct;
+    List.iter
+      (fun (label, (name, (u : timing), (tr : timing), (pct : spread))) ->
+        Printf.printf
+          "\n%s tracing on %s: untraced %.1f emu/s, full ring sink + metrics %.1f emu/s;\n\
+           overhead %.1f%% (median of %d interleaved pairs, min %.1f%%, IQR %.1f%%).\n"
+          label name u.emu_s.med tr.emu_s.med pct.med (Array.length pct.xs) pct.min pct.iqr)
+      [ ("Virtual-engine", virtual_tracing); ("Compiled-engine lowered", compiled_tracing) ];
     Printf.printf
       "\nEach run is a complete emulation (instantiation, event loop, statistics);\n\
        emulations/s is the design-space-exploration currency — points evaluated per\n\
-       second per domain.  Pass --json for machine-readable output.\n"
+       second per domain: the median of 7 timed slices, with min and IQR.  The table\n\
+       uses the default null sink, whose per-event cost is one Obs.enabled load.\n\
+       Pass --json for machine-readable output.\n"
   end
 
 (* ------------------------------------------------------------------ *)

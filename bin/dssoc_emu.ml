@@ -79,7 +79,7 @@ let engine_arg =
            domains; same as --native), or compiled (ahead-of-time specialization of the workload \
            x platform x policy triple into a flat-array event loop — replays the virtual engine \
            byte-for-byte, including traced runs' event logs and metrics, but rejects fault \
-           plans and mesh fabrics).")
+           plans).")
 
 let resolve_engine ~engine ~native ~jitter ~reservation ~seed =
   let seed = Int64.of_int seed in
@@ -359,7 +359,9 @@ let run_cmd =
         match level with
         | `Off -> Obs.disabled
         | `Summary -> Obs.make ~metrics:(Obs.Metrics.create ()) ()
-        | `Full -> Obs.make ~sink:(Obs.Sink.ring ()) ~metrics:(Obs.Metrics.create ()) ()
+        | `Full ->
+          let capacity = Obs.Sink.capacity_for ~tasks:(Workload.task_count workload) in
+          Obs.make ~sink:(Obs.Sink.ring ~capacity ()) ~metrics:(Obs.Metrics.create ()) ()
       in
       let* flusher =
         match (metrics_out, Obs.metrics obs) with
@@ -396,8 +398,8 @@ let run_cmd =
       let ring_dropped = Obs.Sink.dropped (Obs.sink obs) in
       if ring_dropped > 0 then
         Printf.eprintf
-          "warning: event ring overflowed; the oldest %d events were dropped (raise the ring \
-           capacity or lower the trace level)\n"
+          "warning: event ring overflowed; the oldest %d events were dropped, so the event log \
+           starts mid-run\n"
           ring_dropped;
       (match flusher with
       | None -> ()

@@ -40,6 +40,9 @@ let performance ~prng ~window_ns injections =
 
 let job_count t = List.length t.items
 
+let task_count t =
+  List.fold_left (fun acc it -> acc + List.length it.spec.App_spec.nodes) 0 t.items
+
 let injection_rate_per_ms t =
   let span_ns =
     if t.window_ns > 0 then t.window_ns

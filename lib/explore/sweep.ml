@@ -371,13 +371,7 @@ let run_point_inner ?counters ~engine_kind (grid : Grid.t) (p : Grid.point) =
      byte-identical across engines and worker counts.  The ring is
      sized off the task count so no point ever overwrites events
      (a truncated log would silently skew the analytics columns). *)
-  let task_count =
-    List.fold_left
-      (fun acc (it : Workload.item) ->
-        acc + List.length it.Workload.spec.App_spec.nodes)
-      0 p.Grid.workload.Workload.items
-  in
-  let obs = obs_for ~capacity:(max 65536 (32 * task_count)) in
+  let obs = obs_for ~capacity:(Obs.Sink.capacity_for ~tasks:(Workload.task_count p.Grid.workload)) in
   let metrics = Option.get (Obs.metrics obs) in
   let result =
     match engine_kind with

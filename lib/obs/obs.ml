@@ -111,6 +111,8 @@ module Sink = struct
 
   let null = Null
 
+  let capacity_for ~tasks = max 65536 (32 * tasks)
+
   let ring ?(capacity = 65536) () =
     if capacity <= 0 then invalid_arg "Obs.Sink.ring: capacity must be positive";
     Ring

@@ -120,6 +120,11 @@ module Sink : sig
       the overwritten ones.
       @raise Invalid_argument if [capacity <= 0]. *)
 
+  val capacity_for : tasks:int -> int
+  (** A ring capacity that records a whole run of [tasks] tasks
+      without dropping: [max 65536 (32 * tasks)].  A full trace of a
+      fault-free run emits about six events per task. *)
+
   val is_null : t -> bool
 
   val synchronize : t -> unit

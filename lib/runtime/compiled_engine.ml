@@ -14,13 +14,13 @@ exception Unsupported of string
 
 (* The compiled engine replays the virtual engine's event sequence
    exactly: the reference semantics is "whatever Virtual_engine does",
-   down to heap insertion order (the heap breaks time ties FIFO by
-   insertion sequence) and PRNG draw interleaving.  Everything below
-   that looks like duplicated protocol logic is deliberate — each
-   block mirrors a specific suspension point of engine_core.ml /
-   virtual_engine.ml, with the effect-handler closures flattened into
-   integer program counters.  Divergences are caught by the
-   differential matrix in test_diff_engines.ml. *)
+   down to event push order and PRNG draw interleaving.  Both run on
+   [Des], so the event heap, host cores and fabric link are shared;
+   what is duplicated here is the protocol — each block mirrors a
+   specific suspension point of engine_core.ml, with the effect
+   continuation flattened into an integer program counter.
+   Divergences are caught by the differential matrix in
+   test_diff_engines.ml. *)
 
 (* One application archetype, lowered.  Node indices are positions in
    [c_nodes] (= App_spec declaration order = dense task id offsets). *)
@@ -72,8 +72,7 @@ type plan = {
   p_fb_fix_out : int array;
   p_fb_bytes_in : int array;
   p_fb_bytes_out : int array;
-  p_core_of_pe : int array;  (** manager-core index; core 0 is the overlay *)
-  p_core_rate1 : float array;  (** per core: quantum /. (quantum + switch) *)
+  p_cores : Des.host_cores;
   p_overlay_perf : float;
 }
 
@@ -239,41 +238,8 @@ let compile ?fault ~(config : Config.t) ~(workload : Workload.t)
          "fault plans are outside the compiled engine's replay contract (use the \
           virtual or native engine)")
   | None -> ());
-  (match config.Config.fabric with
-  | Fabric.Bus { Fabric.topology = Fabric.Mesh _; _ } ->
-    raise
-      (Unsupported
-         "NoC (mesh) fabric topologies are outside the compiled engine's lowering \
-          (use the virtual or native engine)")
-  | _ -> ());
   let pes = Array.of_list (Config.pes config) in
   let n_pes = Array.length pes in
-  (* Manager-core table: index 0 is the overlay core (the WM's), the
-     rest appear in placement order. *)
-  let overlay = config.Config.host.Host.overlay in
-  let core_list = ref [ overlay ] in
-  let core_index (c : Host.core) =
-    let rec go i = function
-      | [] ->
-        core_list := !core_list @ [ c ];
-        i
-      | (x : Host.core) :: tl -> if x.Host.core_id = c.Host.core_id then i else go (i + 1) tl
-    in
-    go 0 !core_list
-  in
-  let core_of_pe =
-    Array.of_list
-      (List.map (fun (p : Config.placement) -> core_index p.Config.host_core)
-         config.Config.placements)
-  in
-  let cores = Array.of_list !core_list in
-  let core_rate1 =
-    Array.map
-      (fun (c : Host.core) ->
-        float_of_int c.Host.quantum_ns
-        /. (float_of_int c.Host.quantum_ns +. float_of_int c.Host.ctx_switch_ns))
-      cores
-  in
   (* Archetype discovery: one class per distinct spec (shared refs
      first, structural equality as the fallback for re-parsed JSON). *)
   let items = Array.of_list workload.Workload.items in
@@ -347,8 +313,7 @@ let compile ?fault ~(config : Config.t) ~(workload : Workload.t)
     p_fb_fix_out = fb_fix_out;
     p_fb_bytes_in = fb_bytes_in;
     p_fb_bytes_out = fb_bytes_out;
-    p_core_of_pe = core_of_pe;
-    p_core_rate1 = core_rate1;
+    p_cores = Des.host_cores config;
     p_overlay_perf = config.Config.host.Host.overlay.Host.core_class.Pe.perf_factor;
   }
 
@@ -405,21 +370,11 @@ let instantiate_fast plan =
 
 let sched_window = Cost_model.sched_examined_cap
 
-(* Event kinds in the integer-encoded heap. *)
-let ev_start_rm = 0
-let ev_start_wm = 1
-let ev_resume = 2
-let ev_core = 3
-let ev_deadline = 4
-let ev_fab = 5
-
 let run_detailed ?(obs = Obs.disabled) plan (params : Core.params) =
   let instances = instantiate_fast plan in
   let config = plan.p_config in
   let n_pes = plan.p_n_pes in
   let stride = n_pes in
-  let wm_th = n_pes in
-  let n_thr = n_pes + 1 in
   let prng = Prng.create ~seed:params.Core.seed in
   let jitter = params.Core.jitter in
   let est = plan.p_est in
@@ -433,321 +388,15 @@ let run_detailed ?(obs = Obs.disabled) plan (params : Core.params) =
   (* Observability lowering: [traced] is constant for the whole run, so
      the untraced loop pays one predictable branch per hook site.
      Metric registration order mirrors the reference engine exactly —
-     engine handles, then (bus only) the fabric instruments, then the
-     event-heap depth gauge — so [Metrics.pp] output is comparable
-     byte-for-byte across engines. *)
+     engine handles, then [Des.create]'s fabric and event-heap
+     instruments — so [Metrics.pp] output is comparable byte-for-byte
+     across engines. *)
   let traced = Obs.enabled obs in
   Obs.attach_pes obs ~pe_labels:(Array.map (fun pe -> pe.Pe.label) plan.p_pes);
+  let d = Des.create ~obs ~clock0:0 plan.p_cores plan.p_fabric in
+  let wm_th = Des.wm d in
   let inst_memo =
     Array.map (fun ci -> Option.is_some plan.p_classes.(ci).c_final) plan.p_item_class
-  in
-  (* ---- virtual clock and SoA event heap, (time, seq) ordered ---- *)
-  let now = ref 0 in
-  let hcap = ref 1024 in
-  let ht = ref (Array.make !hcap 0) in
-  let hs = ref (Array.make !hcap 0) in
-  let hk = ref (Array.make !hcap 0) in
-  let ha = ref (Array.make !hcap 0) in
-  let hb = ref (Array.make !hcap 0) in
-  let hn = ref 0 in
-  let hseq = ref 0 in
-  let hless i j =
-    let ti = !ht.(i) and tj = !ht.(j) in
-    ti < tj || (ti = tj && !hs.(i) < !hs.(j))
-  in
-  let hswap i j =
-    let t = !ht.(i) in
-    !ht.(i) <- !ht.(j);
-    !ht.(j) <- t;
-    let t = !hs.(i) in
-    !hs.(i) <- !hs.(j);
-    !hs.(j) <- t;
-    let t = !hk.(i) in
-    !hk.(i) <- !hk.(j);
-    !hk.(j) <- t;
-    let t = !ha.(i) in
-    !ha.(i) <- !ha.(j);
-    !ha.(j) <- t;
-    let t = !hb.(i) in
-    !hb.(i) <- !hb.(j);
-    !hb.(j) <- t
-  in
-  let hgrow () =
-    let ncap = !hcap * 2 in
-    let g a = let n = Array.make ncap 0 in Array.blit !a 0 n 0 !hn; a := n in
-    g ht; g hs; g hk; g ha; g hb;
-    hcap := ncap
-  in
-  let push t k a b =
-    let t = if t < !now then !now else t in
-    if !hn = !hcap then hgrow ();
-    let i = !hn in
-    !ht.(i) <- t;
-    !hs.(i) <- !hseq;
-    !hk.(i) <- k;
-    !ha.(i) <- a;
-    !hb.(i) <- b;
-    hseq := !hseq + 1;
-    hn := !hn + 1;
-    let i = ref i in
-    let continue_ = ref true in
-    while !continue_ && !i > 0 do
-      let parent = (!i - 1) / 2 in
-      if hless !i parent then begin
-        hswap !i parent;
-        i := parent
-      end
-      else continue_ := false
-    done
-  in
-  let sift_down () =
-    let i = ref 0 in
-    let continue_ = ref true in
-    while !continue_ do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let smallest = ref !i in
-      if l < !hn && hless l !smallest then smallest := l;
-      if r < !hn && hless r !smallest then smallest := r;
-      if !smallest <> !i then begin
-        hswap !i !smallest;
-        i := !smallest
-      end
-      else continue_ := false
-    done
-  in
-  (* ---- per-thread waiter state (one outstanding suspension each) ---- *)
-  let w_gen = Array.make n_thr 0 in
-  let w_resumed = Array.make n_thr true in
-  let resume_thread th =
-    if not w_resumed.(th) then begin
-      w_resumed.(th) <- true;
-      push !now ev_resume th 0
-    end
-  in
-  let suspend th =
-    w_resumed.(th) <- false;
-    w_gen.(th) <- w_gen.(th) + 1
-  in
-  (* ---- processor-sharing cores (virtual_engine's update/reschedule) ---- *)
-  let n_cores = Array.length plan.p_core_rate1 in
-  let c_last = Array.make n_cores 0 in
-  let c_version = Array.make n_cores 0 in
-  let c_njobs = Array.make n_cores 0 in
-  let c_rem = Array.init n_cores (fun _ -> Array.make n_thr 0.0) in
-  let c_thr = Array.init n_cores (fun _ -> Array.make n_thr (-1)) in
-  let c_fin = Array.make n_thr (-1) in
-  let job_rate c k = if k <= 1 then 1.0 else plan.p_core_rate1.(c) /. float_of_int k in
-  let update_core c =
-    let elapsed = !now - c_last.(c) in
-    if elapsed > 0 then begin
-      let k = c_njobs.(c) in
-      if k > 0 then begin
-        let progress = float_of_int elapsed *. job_rate c k in
-        let rem = c_rem.(c) in
-        for j = 0 to k - 1 do
-          rem.(j) <- rem.(j) -. progress
-        done
-      end;
-      c_last.(c) <- !now
-    end
-  in
-  let reschedule_core c =
-    c_version.(c) <- c_version.(c) + 1;
-    let k = c_njobs.(c) in
-    if k > 0 then begin
-      let rate = job_rate c k in
-      let rem = c_rem.(c) in
-      let mn = ref Float.infinity in
-      for j = 0 to k - 1 do
-        mn := Float.min !mn rem.(j)
-      done;
-      let dt = int_of_float (Float.ceil (Float.max 0.0 !mn /. rate)) in
-      push (!now + dt) ev_core c c_version.(c)
-    end
-  in
-  let add_job c th ns =
-    update_core c;
-    let k = c_njobs.(c) in
-    c_rem.(c).(k) <- float_of_int ns;
-    c_thr.(c).(k) <- th;
-    c_njobs.(c) <- k + 1;
-    reschedule_core c
-  in
-  let core_event c v =
-    if v = c_version.(c) then begin
-      update_core c;
-      let k = c_njobs.(c) in
-      let rem = c_rem.(c) and thr = c_thr.(c) in
-      let nf = ref 0 and w = ref 0 in
-      for j = 0 to k - 1 do
-        if rem.(j) <= 1e-6 then begin
-          c_fin.(!nf) <- thr.(j);
-          incr nf
-        end
-        else begin
-          rem.(!w) <- rem.(j);
-          thr.(!w) <- thr.(j);
-          incr w
-        end
-      done;
-      c_njobs.(c) <- !w;
-      reschedule_core c;
-      for j = 0 to !nf - 1 do
-        resume_thread c_fin.(j)
-      done
-    end
-  in
-  (* ---- shared fabric link (virtual_engine's fab_* machinery, flat) ----
-     One processor-shared link; at most one outstanding DMA stream per
-     PE, so n_pes bounds both the in-flight set and the stall queue.
-     Event/heap traffic is push-for-push identical to the reference
-     engine: admission is inline (no event), a full FIFO enqueues with
-     no event, and each completion batch re-arms exactly one ev_fab. *)
-  let fabric_counters = Core.make_fabric_counters () in
-  let fab_fifo =
-    match plan.p_fabric with
-    | Fabric.Bus b -> b.Fabric.fifo_depth
-    | Fabric.Ideal -> max_int
-  in
-  let metrics = Obs.metrics obs in
-  (* The reference engine's fabric record registers the stall histogram
-     before the occupancy gauge; [Metrics.pp] order is part of the
-     cross-engine parity contract. *)
-  let fb_stall_hist =
-    match plan.p_fabric with
-    | Fabric.Bus _ ->
-      Option.map (fun m -> Obs.Metrics.histogram m "fabric_stall_ns") metrics
-    | Fabric.Ideal -> None
-  in
-  let fb_occ =
-    match plan.p_fabric with
-    | Fabric.Bus _ -> Option.map (fun m -> Obs.Metrics.gauge m "fabric_occupancy") metrics
-    | Fabric.Ideal -> None
-  in
-  let heap_gauge = Option.map (fun m -> Obs.Metrics.gauge m "event_heap_depth") metrics in
-  let fb_last = ref 0 in
-  let fb_version = ref 0 in
-  let fb_njobs = ref 0 in
-  let fb_rem = Array.make (max 1 n_pes) 0.0 in
-  let fb_thr = Array.make (max 1 n_pes) (-1) in
-  let fb_fin = Array.make (max 1 n_pes) (-1) in
-  let fb_queue : int Queue.t = Queue.create () in
-  let fb_qt0 = Array.make (max 1 n_pes) 0 in
-  let fb_qdem = Array.make (max 1 n_pes) 0 in
-  let fb_qbytes = Array.make (max 1 n_pes) 0 in
-  let fab_rate k = if k <= 1 then 1.0 else 1.0 /. float_of_int k in
-  let update_fab () =
-    let elapsed = !now - !fb_last in
-    if elapsed > 0 then begin
-      let k = !fb_njobs in
-      if k > 0 then begin
-        let progress = float_of_int elapsed *. fab_rate k in
-        for j = 0 to k - 1 do
-          fb_rem.(j) <- fb_rem.(j) -. progress
-        done
-      end;
-      fb_last := !now
-    end
-  in
-  let fab_admit th dem bytes ~stall_ns =
-    let k = !fb_njobs in
-    fb_rem.(k) <- float_of_int dem;
-    fb_thr.(k) <- th;
-    fb_njobs := k + 1;
-    let c = fabric_counters in
-    c.Core.fc_stall_ns <- c.Core.fc_stall_ns + stall_ns;
-    if !fb_njobs > c.Core.fc_max_inflight then c.Core.fc_max_inflight <- !fb_njobs;
-    (match fb_stall_hist with
-    | Some h when stall_ns > 0 -> Obs.Metrics.observe h (float_of_int stall_ns)
-    | _ -> ());
-    if traced then
-      Obs.on_stream_admitted obs ~now:!now ~pe_index:th ~bytes ~stall_ns
-        ~inflight:!fb_njobs
-  in
-  let set_fb_occ () =
-    match fb_occ with
-    | Some g -> Obs.Metrics.set g ~t_ns:!now !fb_njobs
-    | None -> ()
-  in
-  let reschedule_fab () =
-    fb_version := !fb_version + 1;
-    let k = !fb_njobs in
-    if k > 0 then begin
-      let rate = fab_rate k in
-      let mn = ref Float.infinity in
-      for j = 0 to k - 1 do
-        mn := Float.min !mn fb_rem.(j)
-      done;
-      let dt = int_of_float (Float.ceil (Float.max 0.0 !mn /. rate)) in
-      push (!now + dt) ev_fab !fb_version 0
-    end
-  in
-  let fab_event v =
-    if v = !fb_version then begin
-      update_fab ();
-      let k = !fb_njobs in
-      let nf = ref 0 and w = ref 0 in
-      for j = 0 to k - 1 do
-        if fb_rem.(j) <= 1e-6 then begin
-          fb_fin.(!nf) <- fb_thr.(j);
-          incr nf
-        end
-        else begin
-          fb_rem.(!w) <- fb_rem.(j);
-          fb_thr.(!w) <- fb_thr.(j);
-          incr w
-        end
-      done;
-      fb_njobs := !w;
-      while (not (Queue.is_empty fb_queue)) && !fb_njobs < fab_fifo do
-        let th = Queue.pop fb_queue in
-        fab_admit th fb_qdem.(th) fb_qbytes.(th) ~stall_ns:(!now - fb_qt0.(th))
-      done;
-      set_fb_occ ();
-      reschedule_fab ();
-      for j = 0 to !nf - 1 do
-        resume_thread fb_fin.(j)
-      done
-    end
-  in
-  let fab_submit th dem bytes =
-    let c = fabric_counters in
-    c.Core.fc_streams <- c.Core.fc_streams + 1;
-    if !fb_njobs < fab_fifo then begin
-      update_fab ();
-      fab_admit th dem bytes ~stall_ns:0;
-      set_fb_occ ();
-      reschedule_fab ()
-    end
-    else begin
-      c.Core.fc_stalls <- c.Core.fc_stalls + 1;
-      if traced then
-        Obs.on_stream_stalled obs ~now:!now ~pe_index:th ~bytes
-          ~queued:(Queue.length fb_queue + 1);
-      fb_qt0.(th) <- !now;
-      fb_qdem.(th) <- dem;
-      fb_qbytes.(th) <- bytes;
-      Queue.add th fb_queue
-    end
-  in
-  (* ---- condition variables (wm_wake + one per resource manager) ---- *)
-  let vh_pending = Array.make (max 1 n_pes) false in
-  let vh_waiting = Array.make (max 1 n_pes) false in
-  let wm_pending = ref false in
-  let wm_waiting = ref false in
-  let signal_rm i =
-    if vh_waiting.(i) then begin
-      vh_waiting.(i) <- false;
-      resume_thread i
-    end
-    else vh_pending.(i) <- true
-  in
-  let signal_wm () =
-    if !wm_waiting then begin
-      wm_waiting := false;
-      resume_thread wm_th
-    end
-    else wm_pending := true
   in
   let jit ns = Core.jittered prng ~jitter ns in
   let overlay_perf = plan.p_overlay_perf in
@@ -779,7 +428,7 @@ let run_detailed ?(obs = Obs.disabled) plan (params : Core.params) =
   let estimate (t : Task.t) i = est.((t.Task.id * stride) + i) in
   let make_ready (t : Task.t) =
     t.Task.status <- Task.Ready;
-    t.Task.ready_at <- !now;
+    t.Task.ready_at <- d.Des.now;
     Ready.append ready t;
     if traced then
       Obs.on_task_ready obs ~now:t.Task.ready_at ~task:t.Task.id
@@ -795,16 +444,7 @@ let run_detailed ?(obs = Obs.disabled) plan (params : Core.params) =
   let rm_cur i =
     match rm_task.(i) with Some t -> t | None -> assert false
   in
-  let rec rm_await i =
-    if vh_pending.(i) then begin
-      vh_pending.(i) <- false;
-      rm_wake i
-    end
-    else begin
-      vh_waiting.(i) <- true;
-      suspend i;
-      rm_pc.(i) <- 1
-    end
+  let rec rm_await i = if Des.await d i then rm_pc.(i) <- 1 else rm_wake i
   and rm_wake i = if handlers.(i).Core.h_stop then () else rm_drain i
   and rm_drain i =
     let h = handlers.(i) in
@@ -812,10 +452,10 @@ let run_detailed ?(obs = Obs.disabled) plan (params : Core.params) =
     | None -> rm_await i
     | Some task ->
       if traced && h.Core.h_capacity > 1 then
-        Obs.on_reservation_popped obs ~now:!now ~pe_index:i
+        Obs.on_reservation_popped obs ~now:d.Des.now ~pe_index:i
           ~depth:(Queue.length h.Core.h_pending);
       rm_task.(i) <- Some task;
-      rm_started.(i) <- !now;
+      rm_started.(i) <- d.Des.now;
       let row = (task.Task.id * stride) + i in
       if plan.p_pe_is_cpu.(i) then begin
         if not inst_memo.(task.Task.instance_id) then begin
@@ -825,80 +465,52 @@ let run_detailed ?(obs = Obs.disabled) plan (params : Core.params) =
         rm_work i (jit est.(row)) 2
       end
       else begin
-        if traced then rm_ph0.(i) <- !now;
+        if traced then rm_ph0.(i) <- d.Des.now;
         let dem = plan.p_fb_dem_in.(row) in
         if dem < 0 then rm_work i (jit plan.p_ph_in.(row)) 3
         else begin
-          let d = jit dem in
-          if d > 0 then begin
-            rm_pc.(i) <- 6;
-            suspend i;
-            fab_submit i d plan.p_fb_bytes_in.(row)
-          end
+          if Des.stream d i ~bytes:plan.p_fb_bytes_in.(row) (jit dem) then rm_pc.(i) <- 6
           else rm_fab_fix i plan.p_fb_fix_in.(row) 3
         end
       end
-  and rm_work i ns pc =
-    if ns <= 0 then rm_goto i pc
-    else begin
-      rm_pc.(i) <- pc;
-      suspend i;
-      add_job plan.p_core_of_pe.(i) i ns
-    end
+  and rm_work i ns pc = if Des.work d i ns then rm_pc.(i) <- pc else rm_goto i pc
   and rm_acc_after_in i =
     let task = rm_cur i in
     if traced then
-      Obs.on_phase obs ~now:!now ~task:task.Task.id ~pe_index:i ~phase:Obs.Dma_in
-        ~start_ns:rm_ph0.(i) ~dur_ns:(!now - rm_ph0.(i));
+      Obs.on_phase obs ~now:d.Des.now ~task:task.Task.id ~pe_index:i ~phase:Obs.Dma_in
+        ~start_ns:rm_ph0.(i) ~dur_ns:(d.Des.now - rm_ph0.(i));
     if not inst_memo.(task.Task.instance_id) then begin
       let k = Exec_model.resolve_kernel task handlers.(i).Core.h_pe in
       k task.Task.store task.Task.node.App_spec.arguments
     end;
-    if traced then rm_ph0.(i) <- !now;
-    let ns = jit plan.p_ph_comp.((task.Task.id * stride) + i) in
-    if ns <= 0 then rm_acc_after_comp i
-    else begin
-      rm_pc.(i) <- 4;
-      suspend i;
-      push (!now + ns) ev_deadline i w_gen.(i)
-    end
+    if traced then rm_ph0.(i) <- d.Des.now;
+    if Des.sleep d i (jit plan.p_ph_comp.((task.Task.id * stride) + i)) then rm_pc.(i) <- 4
+    else rm_acc_after_comp i
   and rm_acc_after_comp i =
     let task = rm_cur i in
     if traced then begin
-      Obs.on_phase obs ~now:!now ~task:task.Task.id ~pe_index:i
-        ~phase:Obs.Device_compute ~start_ns:rm_ph0.(i) ~dur_ns:(!now - rm_ph0.(i));
-      rm_ph0.(i) <- !now
+      Obs.on_phase obs ~now:d.Des.now ~task:task.Task.id ~pe_index:i
+        ~phase:Obs.Device_compute ~start_ns:rm_ph0.(i) ~dur_ns:(d.Des.now - rm_ph0.(i));
+      rm_ph0.(i) <- d.Des.now
     end;
     let row = (task.Task.id * stride) + i in
     let dem = plan.p_fb_dem_out.(row) in
     if dem < 0 then rm_work i (jit plan.p_ph_out.(row)) 5
     else begin
-      let d = jit dem in
-      if d > 0 then begin
-        rm_pc.(i) <- 7;
-        suspend i;
-        fab_submit i d plan.p_fb_bytes_out.(row)
-      end
+      if Des.stream d i ~bytes:plan.p_fb_bytes_out.(row) (jit dem) then rm_pc.(i) <- 7
       else rm_fab_fix i plan.p_fb_fix_out.(row) 5
     end
   and rm_fab_fix i fix pc =
-    (* Fixed chunk/hop latency after the shared-link service — the
-       reference engine's [sleep_ns], i.e. an ev_deadline + ev_resume
-       pair, or an inline continue when zero. *)
-    if fix <= 0 then rm_goto i pc
-    else begin
-      rm_pc.(i) <- pc;
-      suspend i;
-      push (!now + fix) ev_deadline i w_gen.(i)
-    end
+    (* Fixed chunk/hop latency after the shared-link service. *)
+    if Des.sleep d i fix then rm_pc.(i) <- pc else rm_goto i pc
   and rm_finish i =
     let task = rm_cur i in
     let h = handlers.(i) in
-    task.Task.completed_at <- !now;
-    h.Core.h_busy_ns <- h.Core.h_busy_ns + (!now - rm_started.(i));
+    task.Task.completed_at <- d.Des.now;
+    h.Core.h_busy_ns <- h.Core.h_busy_ns + (d.Des.now - rm_started.(i));
     h.Core.h_tasks_run <- h.Core.h_tasks_run + 1;
     Queue.add task h.Core.h_completed;
-    signal_wm ();
+    Des.signal d wm_th;
     rm_drain i
   and rm_goto i pc =
     match pc with
@@ -907,8 +519,8 @@ let run_detailed ?(obs = Obs.disabled) plan (params : Core.params) =
     | 5 ->
       if traced then begin
         let task = rm_cur i in
-        Obs.on_phase obs ~now:!now ~task:task.Task.id ~pe_index:i
-          ~phase:Obs.Dma_out ~start_ns:rm_ph0.(i) ~dur_ns:(!now - rm_ph0.(i))
+        Obs.on_phase obs ~now:d.Des.now ~task:task.Task.id ~pe_index:i
+          ~phase:Obs.Dma_out ~start_ns:rm_ph0.(i) ~dur_ns:(d.Des.now - rm_ph0.(i))
       end;
       rm_finish i
     | 3 -> rm_acc_after_in i
@@ -926,12 +538,7 @@ let run_detailed ?(obs = Obs.disabled) plan (params : Core.params) =
   let rec wm_charge ns pc =
     let c = scale ns in
     stats.Core.wm_ns <- stats.Core.wm_ns + c;
-    if c <= 0 then wm_goto pc
-    else begin
-      wm_pc := pc;
-      suspend wm_th;
-      add_job 0 wm_th c
-    end
+    if Des.work d wm_th c then wm_pc := pc else wm_goto pc
   and wm_tick_top () =
     if traced then begin
       tick_completions := 0;
@@ -979,7 +586,7 @@ let run_detailed ?(obs = Obs.disabled) plan (params : Core.params) =
         let inst = instances.(task.Task.instance_id) in
         inst.Task.remaining <- inst.Task.remaining - 1;
         if inst.Task.remaining = 0 then begin
-          inst.Task.completed_at <- !now;
+          inst.Task.completed_at <- d.Des.now;
           decr unfinished
         end;
         let newly = ref 0 in
@@ -1015,7 +622,7 @@ let run_detailed ?(obs = Obs.disabled) plan (params : Core.params) =
     else begin
       let nready = if ready_len < sched_window then ready_len else sched_window in
       let ctx =
-        { Scheduler.now = !now; ready; nready; pes = pes_scratch; estimate; prng; ops = 0 }
+        { Scheduler.now = d.Des.now; ready; nready; pes = pes_scratch; estimate; prng; ops = 0 }
       in
       let assignments = plan.p_policy.Scheduler.schedule ctx in
       ds_ready := ready_len;
@@ -1030,18 +637,13 @@ let run_detailed ?(obs = Obs.disabled) plan (params : Core.params) =
       in
       ds_cost := cost;
       stats.Core.wm_ns <- stats.Core.wm_ns + cost;
-      if cost <= 0 then wm_after_sched_work ()
-      else begin
-        wm_pc := 12;
-        suspend wm_th;
-        add_job 0 wm_th cost
-      end
+      if Des.work d wm_th cost then wm_pc := 12 else wm_after_sched_work ()
     end
   and wm_after_sched_work () =
     stats.Core.sched_ns <- stats.Core.sched_ns + !ds_cost;
     stats.Core.sched_invocations <- stats.Core.sched_invocations + 1;
     if traced then
-      Obs.on_sched obs ~now:!now ~ready:!ds_ready ~examined:!ds_nready ~ops:!ds_ops
+      Obs.on_sched obs ~now:d.Des.now ~ready:!ds_ready ~examined:!ds_nready ~ops:!ds_ops
         ~cost_ns:!ds_cost ~assigned:(List.length !ds_todo);
     wm_dispatch_next ()
   and wm_dispatch_next () =
@@ -1062,25 +664,25 @@ let run_detailed ?(obs = Obs.disabled) plan (params : Core.params) =
       task.Task.status <- Task.Running;
       task.Task.attempts <- task.Task.attempts + 1;
       Ready.remove ready task;
-      task.Task.dispatched_at <- !now;
+      task.Task.dispatched_at <- d.Des.now;
       task.Task.pe_label <- h.Core.h_pe.Pe.label;
       Queue.add task h.Core.h_pending;
       h.Core.h_inflight <- h.Core.h_inflight + 1;
       incr inflight;
       h.Core.h_busy_until <-
-        max !now h.Core.h_busy_until + est.((task.Task.id * stride) + pi);
+        max d.Des.now h.Core.h_busy_until + est.((task.Task.id * stride) + pi);
       if traced then begin
-        Obs.on_task_dispatched obs ~now:!now ~task:task.Task.id
+        Obs.on_task_dispatched obs ~now:d.Des.now ~task:task.Task.id
           ~instance:task.Task.instance_id ~app:task.Task.app_name
           ~node:task.Task.node.App_spec.node_name ~pe:h.Core.h_pe.Pe.label
-          ~pe_index:pi ~wait_ns:(!now - task.Task.ready_at)
+          ~pe_index:pi ~wait_ns:(d.Des.now - task.Task.ready_at)
           ~ready_depth:(Ready.length ready) ~pe_depth:h.Core.h_inflight
           ~inflight:!inflight;
         if h.Core.h_capacity > 1 then
-          Obs.on_reservation_enqueued obs ~now:!now ~pe_index:pi
+          Obs.on_reservation_enqueued obs ~now:d.Des.now ~pe_index:pi
             ~depth:(Queue.length h.Core.h_pending)
       end;
-      signal_rm pi;
+      Des.signal d pi;
       wm_dispatch_next ()
   and ds_end () =
     match !ds_ret with
@@ -1089,7 +691,7 @@ let run_detailed ?(obs = Obs.disabled) plan (params : Core.params) =
     | _ -> wm_tick_tail ()
   and wm_inject () =
     let injected = ref 0 in
-    let now_v = !now in
+    let now_v = d.Des.now in
     while
       !pending_idx < n_items && instances.(!pending_idx).Task.arrival_ns <= now_v
     do
@@ -1110,30 +712,22 @@ let run_detailed ?(obs = Obs.disabled) plan (params : Core.params) =
     else wm_tick_tail ()
   and wm_after_inject () = do_schedule 2
   and wm_tick_tail () =
-    (match heap_gauge with
-    | Some g -> Obs.Metrics.set g ~t_ns:!now !hn
-    | None -> ());
+    Des.sample_depth d;
     if traced then
-      Obs.on_wm_tick obs ~now:!now ~completions:!tick_completions
+      Obs.on_wm_tick obs ~now:d.Des.now ~completions:!tick_completions
         ~injected:!tick_injected;
     if !unfinished = 0 && !pending_idx >= n_items then
       Array.iter
         (fun (h : unit Core.handler) ->
           h.Core.h_stop <- true;
-          signal_rm h.Core.h_index)
+          Des.signal d h.Core.h_index)
         handlers
     else begin
-      if !wm_pending then begin
-        wm_pending := false;
-        wm_tick_top ()
-      end
-      else begin
-        wm_waiting := true;
-        suspend wm_th;
-        if !pending_idx < n_items then
-          push instances.(!pending_idx).Task.arrival_ns ev_deadline wm_th w_gen.(wm_th);
-        wm_pc := 15
-      end
+      let deadline =
+        if !pending_idx < n_items then Some instances.(!pending_idx).Task.arrival_ns
+        else None
+      in
+      if Des.await d ?deadline wm_th then wm_pc := 15 else wm_tick_top ()
     end
   and wm_goto pc =
     match pc with
@@ -1146,37 +740,12 @@ let run_detailed ?(obs = Obs.disabled) plan (params : Core.params) =
     | _ -> assert false
   in
   (* ---- startup (spawn order: resource managers, then the WM) ---- *)
-  for i = 0 to n_pes - 1 do
-    push 0 ev_start_rm i 0
+  for i = 0 to wm_th do
+    Des.spawn d i
   done;
-  push 0 ev_start_wm 0 0;
-  (* ---- event loop ---- *)
-  let continue_ = ref true in
-  while !continue_ do
-    if !hn = 0 then continue_ := false
-    else begin
-      let t = !ht.(0) and k = !hk.(0) and a = !ha.(0) and b = !hb.(0) in
-      hn := !hn - 1;
-      if !hn > 0 then begin
-        hswap 0 !hn;
-        sift_down ()
-      end;
-      if t > !now then now := t;
-      if k = ev_resume then begin
-        if a = wm_th then wm_goto !wm_pc else rm_goto a rm_pc.(a)
-      end
-      else if k = ev_core then core_event a b
-      else if k = ev_deadline then begin
-        if b = w_gen.(a) && not w_resumed.(a) then begin
-          if a = wm_th then wm_waiting := false;
-          resume_thread a
-        end
-      end
-      else if k = ev_fab then fab_event a
-      else if k = ev_start_rm then rm_await a
-      else wm_tick_top ()
-    end
-  done;
+  Des.run d
+    ~start:(fun th -> if th = wm_th then wm_tick_top () else rm_await th)
+    ~resume:(fun th -> if th = wm_th then wm_goto !wm_pc else rm_goto th rm_pc.(th));
   (* ---- functional outputs: blit the memoized kernel image ---- *)
   Array.iteri
     (fun idx (inst : Task.instance) ->
@@ -1185,7 +754,7 @@ let run_detailed ?(obs = Obs.disabled) plan (params : Core.params) =
       | None -> ())
     instances;
   ( Core.report ~host_name:config.Config.host.Host.name ~config ~policy:plan.p_policy
-      ~handlers ~instances ~stats ~fabric:fabric_counters,
+      ~handlers ~instances ~stats ~fabric:(Des.fabric_counters d),
     instances )
 
 let run ?obs plan params = fst (run_detailed ?obs plan params)

@@ -7,9 +7,11 @@
     triple into a {!type:plan} of unboxed flat arrays — CSR
     predecessor/successor adjacency over dense task ids, a preresolved
     per-(task, PE) estimate matrix and accelerator phase tables, dense
-    PE/core/task state arrays — and then {!val:run}s a monomorphic
-    event loop over integer-encoded events with no per-event closure
-    allocation and the workload-manager protocol inlined.  The policy
+    PE/task state arrays — and then {!val:run}s the workload-manager
+    protocol inlined as integer program counters, with no per-event
+    closure allocation.  Its events, host cores and fabric link are
+    {!Des}, the substrate the virtual engine's effect threads run on,
+    so only the protocol is lowered here, not the model.  The policy
     is called through {!Scheduler.context} exactly as {!Engine_core}
     calls it, over the same {!Ready} list and estimate sentinel, so any
     registered policy runs here.
@@ -25,7 +27,7 @@
     virtual engine (byte-identical {!Dssoc_obs.Obs.to_jsonl}) and
     populates the same metrics registry, while an untraced run pays
     only one predictable branch per hook site.  Anything the engine
-    cannot replay bit-for-bit (fault plans, mesh fabrics) is rejected at
+    cannot replay bit-for-bit (fault plans) is rejected at
     compile time with {!exception:Unsupported} rather than allowed to
     diverge silently.  The differential matrix in
     [test/test_diff_engines.ml] pins both contracts.
@@ -43,7 +45,7 @@ type plan
 
 exception Unsupported of string
 (** Raised by {!val:compile} for inputs outside the compiled engine's
-    replay contract: a fault plan or a mesh (NoC) fabric. *)
+    replay contract: a fault plan. *)
 
 val compile :
   ?fault:Dssoc_fault.Fault.plan ->
@@ -57,7 +59,7 @@ val compile :
     with other plans — every {!val:run} starts from fresh instances.
     Observability is a per-run concern ([?obs] on {!val:run} /
     {!val:run_detailed}), not a compile-time one.
-    @raise Unsupported for a fault plan or a mesh fabric.
+    @raise Unsupported for a fault plan.
     @raise Invalid_argument when some task supports no PE of the
     configuration (same validation as the reference engines). *)
 

@@ -17,9 +17,8 @@ type engine =
       (** ahead-of-time specialization of (workload x platform x
           policy) into a flat-array event loop; replays the virtual
           engine byte-for-byte for every registered policy, traced
-          runs included — see {!Compiled_engine}.  Fault plans and
-          mesh fabrics are outside its contract and turn into [Error]
-          here. *)
+          runs included — see {!Compiled_engine}.  Fault plans are
+          outside its contract and turn into [Error] here. *)
 
 val virtual_seeded : ?jitter:float -> ?reservation_depth:int -> int64 -> engine
 (** Convenience: virtual engine with the given seed (jitter defaults

@@ -1,6 +1,4 @@
-module Heap = Dssoc_util.Heap
 module Prng = Dssoc_util.Prng
-module Vec = Dssoc_util.Vec
 module Pe = Dssoc_soc.Pe
 module Host = Dssoc_soc.Host
 module Config = Dssoc_soc.Config
@@ -19,232 +17,27 @@ type params = Engine_core.params = {
 let default_params = Engine_core.default_params
 
 (* ------------------------------------------------------------------ *)
-(* Simulation substrate: event loop, conditions, processor sharing     *)
+(* Effect threads on the shared substrate                              *)
 (* ------------------------------------------------------------------ *)
 
-type waiter = { mutable resumed : bool; k : (unit, unit) Effect.Deep.continuation }
-
-type cond = { mutable pending : bool; mutable waiting : waiter option }
-
-let new_cond () = { pending = false; waiting = None }
-
-type job = { mutable remaining : float (* ns of full-rate work left *); jw : waiter }
-
-type core_state = {
-  core : Host.core;
-  jobs : job Vec.t;
-  mutable last : int;  (** time of the last progress update *)
-  mutable version : int;  (** invalidates stale completion events *)
-}
-
-type engine = {
-  mutable now : int;
-  events : (int * (unit -> unit)) Heap.t;
-  prng : Prng.t;
-  jitter : float;
-}
-
+(* Each manager thread is a direct-style effect thread.  The four
+   blocking operations carry the performing thread's id — resource
+   manager i is thread i, the workload manager is [Des.wm] — and the
+   handler hands them to [Des]; when one suspends, the continuation is
+   parked in the thread's slot until [Des.run] resumes that thread. *)
 type _ Effect.t +=
-  | Work : core_state * int -> unit Effect.t
-        (** consume full-rate CPU work on a core (dilated when shared) *)
-  | Await : cond * int option -> unit Effect.t
-        (** block until the condition is signalled or the optional
-            absolute deadline passes *)
+  | Work : int * int -> unit Effect.t  (** [(th, ns)]: {!Des.work} *)
+  | Stream : int * int * int -> unit Effect.t  (** [(th, bytes, ns)]: {!Des.stream} *)
+  | Sleep : int * int -> unit Effect.t  (** [(th, ns)]: {!Des.sleep} *)
+  | Await : int * int option -> unit Effect.t  (** [(th, deadline)]: {!Des.await} *)
 
-let push_event eng t action = Heap.push eng.events (max t eng.now, action)
-
-(* Per-job progress rate on a core with k active jobs: fair share 1/k,
-   discounted by the round-robin efficiency quantum/(quantum+switch)
-   when the core is contended.  This is the mechanism behind the
-   paper's 2Core+2FFT observation (two accelerator manager threads
-   "cyclically preempting each other" on one core). *)
-let job_rate core k =
-  if k <= 1 then 1.0
-  else begin
-    let q = float_of_int core.core.Host.quantum_ns
-    and s = float_of_int core.core.Host.ctx_switch_ns in
-    q /. (q +. s) /. float_of_int k
-  end
-
-let update_core eng cs =
-  let elapsed = eng.now - cs.last in
-  if elapsed > 0 then begin
-    let k = Vec.length cs.jobs in
-    if k > 0 then begin
-      let progress = float_of_int elapsed *. job_rate cs k in
-      Vec.iter (fun j -> j.remaining <- j.remaining -. progress) cs.jobs
-    end;
-    cs.last <- eng.now
-  end
-
-let resume eng w = if not w.resumed then begin
-    w.resumed <- true;
-    push_event eng eng.now (fun () -> Effect.Deep.continue w.k ())
-  end
-
-let rec reschedule_core eng cs =
-  cs.version <- cs.version + 1;
-  let k = Vec.length cs.jobs in
-  if k > 0 then begin
-    let rate = job_rate cs k in
-    let min_remaining = Vec.fold (fun acc j -> Float.min acc j.remaining) Float.infinity cs.jobs in
-    let dt = int_of_float (Float.ceil (Float.max 0.0 min_remaining /. rate)) in
-    let v = cs.version in
-    push_event eng (eng.now + dt) (fun () -> core_event eng cs v)
-  end
-
-and core_event eng cs v =
-  if v = cs.version then begin
-    update_core eng cs;
-    (* Collect finished jobs in arrival order, compact the rest in
-       place (Vec keeps order, matching the old List.partition). *)
-    let finished = ref [] in
-    Vec.filter_in_place
-      (fun j ->
-        if j.remaining <= 1e-6 then begin
-          finished := j :: !finished;
-          false
-        end
-        else true)
-      cs.jobs;
-    reschedule_core eng cs;
-    List.iter (fun j -> resume eng j.jw) (List.rev !finished)
-  end
-
-let add_job eng cs w ns =
-  update_core eng cs;
-  Vec.push cs.jobs { remaining = float_of_int ns; jw = w };
-  reschedule_core eng cs
-
-let signal eng cond =
-  match cond.waiting with
-  | Some w when not w.resumed ->
-    cond.waiting <- None;
-    resume eng w
-  | _ -> cond.pending <- true
-
-(* ------------------------------------------------------------------ *)
-(* Shared interconnect: one processor-shared link + bounded FIFO       *)
-(* ------------------------------------------------------------------ *)
-
-(* The fabric link reuses the core machinery shape (progress updates,
-   version-invalidated completion events) but serves the in-flight DMA
-   streams at a plain fair share 1/k — an arbitrated bus has no
-   round-robin context-switch discount.  Streams beyond the FIFO depth
-   queue in arrival order and their manager threads stall. *)
-type fab = {
-  fb_bus : Fabric.bus;
-  fb_hop_ns : int array;  (** per-PE index: hops x per-hop latency *)
-  fb_jobs : job Vec.t;  (** in-flight streams, arrival order *)
-  fb_queue : (int * int * int * job) Queue.t;
-      (** (enqueue time, pe_index, bytes, stream) awaiting a FIFO slot *)
-  mutable fb_last : int;
-  mutable fb_version : int;
-  fb_counters : Core.fabric_counters;
-  fb_obs : Obs.t;
-  fb_occ : Obs.Metrics.gauge option;
-  fb_stall_hist : Obs.Metrics.histogram option;
-}
-
-let fab_rate k = if k <= 1 then 1.0 else 1.0 /. float_of_int k
-
-let update_fab eng fb =
-  let elapsed = eng.now - fb.fb_last in
-  if elapsed > 0 then begin
-    let k = Vec.length fb.fb_jobs in
-    if k > 0 then begin
-      let progress = float_of_int elapsed *. fab_rate k in
-      Vec.iter (fun j -> j.remaining <- j.remaining -. progress) fb.fb_jobs
-    end;
-    fb.fb_last <- eng.now
-  end
-
-let fab_track fb =
-  let c = fb.fb_counters in
-  let k = Vec.length fb.fb_jobs in
-  if k > c.Core.fc_max_inflight then c.Core.fc_max_inflight <- k
-
-let fab_admitted eng fb ~pe_index ~bytes ~stall_ns =
-  let c = fb.fb_counters in
-  c.Core.fc_stall_ns <- c.Core.fc_stall_ns + stall_ns;
-  fab_track fb;
-  (match fb.fb_stall_hist with
-  | Some h when stall_ns > 0 -> Obs.Metrics.observe h (float_of_int stall_ns)
-  | _ -> ());
-  if Obs.enabled fb.fb_obs then
-    Obs.on_stream_admitted fb.fb_obs ~now:eng.now ~pe_index ~bytes ~stall_ns
-      ~inflight:(Vec.length fb.fb_jobs)
-
-let fab_occupancy eng fb =
-  match fb.fb_occ with
-  | None -> ()
-  | Some g -> Obs.Metrics.set g ~t_ns:eng.now (Vec.length fb.fb_jobs)
-
-let rec reschedule_fab eng fb =
-  fb.fb_version <- fb.fb_version + 1;
-  let k = Vec.length fb.fb_jobs in
-  if k > 0 then begin
-    let rate = fab_rate k in
-    let min_remaining = Vec.fold (fun acc j -> Float.min acc j.remaining) Float.infinity fb.fb_jobs in
-    let dt = int_of_float (Float.ceil (Float.max 0.0 min_remaining /. rate)) in
-    let v = fb.fb_version in
-    push_event eng (eng.now + dt) (fun () -> fab_event eng fb v)
-  end
-
-and fab_event eng fb v =
-  if v = fb.fb_version then begin
-    update_fab eng fb;
-    let finished = ref [] in
-    Vec.filter_in_place
-      (fun j ->
-        if j.remaining <= 1e-6 then begin
-          finished := j :: !finished;
-          false
-        end
-        else true)
-      fb.fb_jobs;
-    (* Freed slots admit queued streams FIFO, inline (no per-admission
-       reschedule: one link re-arm covers the whole admission batch). *)
-    while
-      (not (Queue.is_empty fb.fb_queue))
-      && Vec.length fb.fb_jobs < fb.fb_bus.Fabric.fifo_depth
-    do
-      let t0, pe_index, bytes, j = Queue.pop fb.fb_queue in
-      Vec.push fb.fb_jobs j;
-      fab_admitted eng fb ~pe_index ~bytes ~stall_ns:(eng.now - t0)
-    done;
-    fab_occupancy eng fb;
-    reschedule_fab eng fb;
-    List.iter (fun j -> resume eng j.jw) (List.rev !finished)
-  end
-
-let fab_submit eng fb ~pe_index ~bytes w ns =
-  let c = fb.fb_counters in
-  c.Core.fc_streams <- c.Core.fc_streams + 1;
-  let j = { remaining = float_of_int ns; jw = w } in
-  if Vec.length fb.fb_jobs < fb.fb_bus.Fabric.fifo_depth then begin
-    update_fab eng fb;
-    Vec.push fb.fb_jobs j;
-    fab_admitted eng fb ~pe_index ~bytes ~stall_ns:0;
-    fab_occupancy eng fb;
-    reschedule_fab eng fb
-  end
-  else begin
-    c.Core.fc_stalls <- c.Core.fc_stalls + 1;
-    if Obs.enabled fb.fb_obs then
-      Obs.on_stream_stalled fb.fb_obs ~now:eng.now ~pe_index ~bytes
-        ~queued:(Queue.length fb.fb_queue + 1);
-    Queue.add (eng.now, pe_index, bytes, j) fb.fb_queue
-  end
-
-type _ Effect.t +=
-  | Fab_work : fab * int * int * int -> unit Effect.t
-        (** [(fab, pe_index, bytes, demand_ns)]: stream [demand_ns] of
-            link service through the shared fabric, stalling while the
-            FIFO is full *)
-
-let spawn eng body =
+(* Spawn one thread per body (thread id = index) and run the loop:
+   resource managers first, then the workload manager, the order their
+   start events pop in. *)
+let run_threads d (bodies : (unit -> unit) array) =
   let open Effect.Deep in
+  let conts : (unit, unit) continuation option array = Array.make (Array.length bodies) None in
+  let park th k suspended = if suspended then conts.(th) <- Some k else continue k () in
   let handler =
     {
       retc = (fun () -> ());
@@ -252,76 +45,45 @@ let spawn eng body =
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
-          | Work (cs, ns) ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                if ns <= 0 then continue k ()
-                else add_job eng cs { resumed = false; k } ns)
-          | Fab_work (fb, pe_index, bytes, ns) ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                if ns <= 0 then continue k ()
-                else fab_submit eng fb ~pe_index ~bytes { resumed = false; k } ns)
-          | Await (cond, deadline) ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                if cond.pending then begin
-                  cond.pending <- false;
-                  continue k ()
-                end
-                else begin
-                  let w = { resumed = false; k } in
-                  cond.waiting <- Some w;
-                  match deadline with
-                  | None -> ()
-                  | Some t ->
-                    push_event eng t (fun () ->
-                        if not w.resumed then begin
-                          if cond.waiting == Some w then cond.waiting <- None;
-                          resume eng w
-                        end)
-                end)
+          | Work (th, ns) ->
+            Some (fun (k : (a, unit) continuation) -> park th k (Des.work d th ns))
+          | Stream (th, bytes, ns) ->
+            Some (fun (k : (a, unit) continuation) -> park th k (Des.stream d th ~bytes ns))
+          | Sleep (th, ns) ->
+            Some (fun (k : (a, unit) continuation) -> park th k (Des.sleep d th ns))
+          | Await (th, deadline) ->
+            Some (fun (k : (a, unit) continuation) -> park th k (Des.await d ?deadline th))
           | _ -> None);
     }
   in
-  (* Defer the body so spawning inside another thread cannot nest
-     handler scopes; each thread starts from the event loop. *)
-  push_event eng eng.now (fun () -> match_with body () handler)
+  Array.iteri (fun th _ -> Des.spawn d th) bodies;
+  Des.run d
+    ~start:(fun th -> match_with bodies.(th) () handler)
+    ~resume:(fun th ->
+      match conts.(th) with
+      | Some k ->
+        conts.(th) <- None;
+        continue k ()
+      | None -> assert false)
 
-let run_loop eng =
-  let continue_ = ref true in
-  while !continue_ do
-    match Heap.pop eng.events with
-    | None -> continue_ := false
-    | Some (t, action) ->
-      eng.now <- max eng.now t;
-      action ()
-  done
-
-let work cs ns = Effect.perform (Work (cs, ns))
-let await cond deadline = Effect.perform (Await (cond, deadline))
-
-let sleep_ns eng ns = if ns > 0 then await (new_cond ()) (Some (eng.now + ns))
+let work th ns = if ns > 0 then Effect.perform (Work (th, ns))
+let sleep th ns = if ns > 0 then Effect.perform (Sleep (th, ns))
 
 (* ------------------------------------------------------------------ *)
 (* The DES backend for the shared engine core                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Backend-private handler state: the modelled host core this
-   resource-manager thread occupies, and the condition it awaits
-   dispatch / stop on. *)
-type vh = { vh_core : core_state; vh_cond : cond }
-
-let backend eng ~fab ~wm_wake ~overlay_core ~overlay_perf ~est_table
+let backend d ~prng ~jitter ~bus ~hop_ns ~overlay_perf ~est_table
     ~(policy : Scheduler.policy) ~n_pes ~(stats : Core.wm_stats) ~obs =
+  let wm = Des.wm d in
   let scale ns = int_of_float (Float.round (ns /. overlay_perf)) in
   (* Modelled workload-manager bookkeeping occupies the overlay core. *)
   let charge ns =
     let ns = scale ns in
     stats.Core.wm_ns <- stats.Core.wm_ns + ns;
-    work overlay_core ns
+    work wm ns
   in
-  let jit ns = Core.jittered eng.prng ~jitter:eng.jitter ns in
+  let jit ns = Core.jittered prng ~jitter ns in
   (* The b_dma hook.  Ideal (or a phase moving no data) replays the
      legacy per-device duration on the manager's host core exactly as
      before.  Under a bus the manager thread leaves its host core:
@@ -329,66 +91,61 @@ let backend eng ~fab ~wm_wake ~overlay_core ~overlay_perf ~est_table
      in-flight streams, FIFO-stalled when the link is full), then the
      fixed per-chunk device latency plus per-hop fabric latency is
      paid as plain delay. *)
-  let dma (h : vh Core.handler) (ph : Core.dma_phase) =
-    let vb = h.Core.h_backend in
-    match fab with
-    | None -> work vb.vh_core (jit ph.Core.dp_ideal_ns)
-    | Some fb ->
-      if ph.Core.dp_bytes <= 0 then work vb.vh_core (jit ph.Core.dp_ideal_ns)
-      else begin
-        let dem = jit (Fabric.demand_ns fb.fb_bus ~bytes:ph.Core.dp_bytes) in
-        if dem > 0 then
-          Effect.perform (Fab_work (fb, h.Core.h_index, ph.Core.dp_bytes, dem));
-        sleep_ns eng
-          (ph.Core.dp_chunks * (ph.Core.dp_chunk_lat_ns + fb.fb_hop_ns.(h.Core.h_index)))
-      end
+  let dma (h : unit Core.handler) (ph : Core.dma_phase) =
+    let th = h.Core.h_index in
+    match bus with
+    | Some bus when ph.Core.dp_bytes > 0 ->
+      let dem = jit (Fabric.demand_ns bus ~bytes:ph.Core.dp_bytes) in
+      if dem > 0 then Effect.perform (Stream (th, ph.Core.dp_bytes, dem));
+      sleep th (ph.Core.dp_chunks * (ph.Core.dp_chunk_lat_ns + hop_ns.(th)))
+    | _ -> work th (jit ph.Core.dp_ideal_ns)
   in
-  let execute (h : vh Core.handler) (task : Task.t) =
+  let execute (h : unit Core.handler) (task : Task.t) =
     let kernel = Exec_model.resolve_kernel task h.Core.h_pe in
     let args = task.Task.node.App_spec.arguments in
-    let vb = h.Core.h_backend in
+    let th = h.Core.h_index in
     match h.Core.h_pe.Pe.kind with
     | Pe.Cpu _ ->
       kernel task.Task.store args;
-      work vb.vh_core (jit (Exec_model.lookup est_table task h.Core.h_index))
+      work th (jit (Exec_model.lookup est_table task th))
     | Pe.Accel acl ->
       let dma_in, compute, dma_out = Core.accel_phases task h.Core.h_pe acl in
       let traced = Obs.enabled obs in
       let phase_end ph t0 =
         if traced then
-          Obs.on_phase obs ~now:eng.now ~task:task.Task.id ~pe_index:h.Core.h_index
-            ~phase:ph ~start_ns:t0 ~dur_ns:(eng.now - t0)
+          Obs.on_phase obs ~now:d.Des.now ~task:task.Task.id ~pe_index:th ~phase:ph
+            ~start_ns:t0 ~dur_ns:(d.Des.now - t0)
       in
       (* DMA to device goes through the fabric hook... *)
-      let t0 = eng.now in
+      let t0 = d.Des.now in
       dma h dma_in;
       phase_end Obs.Dma_in t0;
       kernel task.Task.store args;
       (* ...then the thread sleeps while the device computes... *)
-      let t1 = eng.now in
-      sleep_ns eng (jit compute);
+      let t1 = d.Des.now in
+      sleep th (jit compute);
       phase_end Obs.Device_compute t1;
       (* ...and wakes to move the results back. *)
-      let t2 = eng.now in
+      let t2 = d.Des.now in
       dma h dma_out;
       phase_end Obs.Dma_out t2
   in
   {
-    Core.b_now = (fun () -> eng.now);
+    Core.b_now = (fun () -> d.Des.now);
     (* Single-threaded event loop: no mutual exclusion needed. *)
     b_lock = ignore;
     b_unlock = ignore;
-    b_handler_await = (fun h -> await h.Core.h_backend.vh_cond None);
-    b_notify_handler = (fun h -> signal eng h.Core.h_backend.vh_cond);
-    b_wm_await = (fun ~deadline -> await wm_wake deadline);
-    b_notify_wm = (fun () -> signal eng wm_wake);
+    b_handler_await = (fun h -> Effect.perform (Await (h.Core.h_index, None)));
+    b_notify_handler = (fun h -> Des.signal d h.Core.h_index);
+    b_wm_await = (fun ~deadline -> Effect.perform (Await (wm, deadline)));
+    b_notify_wm = (fun () -> Des.signal d wm);
     b_charge = charge;
     b_dma = dma;
     b_execute = execute;
     (* Fault-detection latencies and slowdown tails keep the PE's
        manager thread asleep (the device is wedged, not computing), so
        no host core is occupied — just virtual time. *)
-    b_delay = (fun _h ns -> sleep_ns eng ns);
+    b_delay = (fun h ns -> sleep h.Core.h_index ns);
     b_sched_start = (fun () -> 0);
     b_sched_done =
       (fun _t0 ~ready ~ops ->
@@ -402,19 +159,12 @@ let backend eng ~fab ~wm_wake ~overlay_core ~overlay_perf ~est_table
                   ~pes:n_pes ~ops))
         in
         stats.Core.wm_ns <- stats.Core.wm_ns + cost;
-        work overlay_core cost;
+        work wm cost;
         cost);
     b_wm_tick_start = (fun () -> 0);
-    b_wm_tick_end =
-      (* The event heap *is* the simulation's pending future; its depth
-         is the DES-specific health gauge (sampled via [Heap.length]). *)
-      (let heap_gauge =
-         Option.map (fun m -> Obs.Metrics.gauge m "event_heap_depth") (Obs.metrics obs)
-       in
-       fun _ ->
-         match heap_gauge with
-         | None -> ()
-         | Some g -> Obs.Metrics.set g ~t_ns:eng.now (Heap.length eng.events));
+    (* The event heap *is* the simulation's pending future; its depth
+       is the DES-specific health gauge. *)
+    b_wm_tick_end = (fun _ -> Des.sample_depth d);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -426,49 +176,27 @@ let backend eng ~fab ~wm_wake ~overlay_core ~overlay_perf ~est_table
    starting virtual time and engine PRNG — zero / freshly seeded for a
    normal run, the checkpointed values for a restored service. *)
 type prepared = {
-  pr_eng : engine;
+  pr_des : Des.t;
+  pr_prng : Prng.t;
   pr_instances : Task.instance array;
-  pr_handlers : vh Core.handler array;
+  pr_handlers : unit Core.handler array;
   pr_est_table : Exec_model.table;
   pr_stats : Core.wm_stats;
   pr_fault : Dssoc_fault.Fault.t;
-  pr_fabric_counters : Core.fabric_counters;
-  pr_b : vh Core.backend;
+  pr_b : unit Core.backend;
 }
 
 let prepare ~(params : params) ~obs ~engine_name ~clock0 ~prng ?fault
     ~(config : Config.t) ~(workload : Workload.t) ~(policy : Scheduler.policy) () =
   let instances = Core.instantiate ~engine_name ~config ~workload in
-  let eng =
-    {
-      now = clock0;
-      events = Heap.create ~cmp:(fun (a, _) (b, _) -> compare a b);
-      prng;
-      jitter = params.jitter;
-    }
-  in
-  (* One modelled core state per distinct host core in use. *)
-  let core_states = Hashtbl.create 8 in
-  let core_state_of (core : Host.core) =
-    match Hashtbl.find_opt core_states core.Host.core_id with
-    | Some cs -> cs
-    | None ->
-      let cs = { core; jobs = Vec.create (); last = 0; version = 0 } in
-      Hashtbl.replace core_states core.Host.core_id cs;
-      cs
-  in
-  let overlay_core = core_state_of config.Config.host.Host.overlay in
-  let overlay_perf = config.Config.host.Host.overlay.Host.core_class.Pe.perf_factor in
   let handlers =
     Array.of_list
       (List.mapi
          (fun i (p : Config.placement) ->
            Core.make_handler ~pe:p.Config.pe ~index:i
-             ~reservation_depth:params.reservation_depth
-             { vh_core = core_state_of p.Config.host_core; vh_cond = new_cond () })
+             ~reservation_depth:params.reservation_depth ())
          config.Config.placements)
   in
-  let wm_wake = new_cond () in
   (* Price every (task, PE) pair once, up front; the scheduler and the
      dispatch paths then estimate with a single array load. *)
   let est_table =
@@ -477,48 +205,41 @@ let prepare ~(params : params) ~obs ~engine_name ~clock0 ~prng ?fault
   let stats = Core.make_stats () in
   let fault = Core.compile_fault fault ~handlers in
   Obs.attach_pes obs ~pe_labels:(Array.map (fun h -> h.Core.h_pe.Pe.label) handlers);
-  let fabric_counters = Core.make_fabric_counters () in
-  let fab =
+  let d = Des.create ~obs ~clock0 (Des.host_cores config) config.Config.fabric in
+  let bus, hop_ns =
     match config.Config.fabric with
-    | Fabric.Ideal -> None
+    | Fabric.Ideal -> (None, [||])
     | Fabric.Bus bus ->
-      (* Fabric metrics register after [attach_pes] so the engine
-         metrics keep their historical registration order. *)
-      let metrics = Obs.metrics obs in
-      Some
-        {
-          fb_bus = bus;
-          fb_hop_ns =
-            Array.map
-              (fun h ->
-                Fabric.hops bus.Fabric.topology ~pe_index:h.Core.h_index
-                * bus.Fabric.hop_ns)
-              handlers;
-          fb_jobs = Vec.create ();
-          fb_queue = Queue.create ();
-          fb_last = 0;
-          fb_version = 0;
-          fb_counters = fabric_counters;
-          fb_obs = obs;
-          fb_occ = Option.map (fun m -> Obs.Metrics.gauge m "fabric_occupancy") metrics;
-          fb_stall_hist =
-            Option.map (fun m -> Obs.Metrics.histogram m "fabric_stall_ns") metrics;
-        }
+      ( Some bus,
+        Array.map
+          (fun h -> Fabric.hops bus.Fabric.topology ~pe_index:h.Core.h_index * bus.Fabric.hop_ns)
+          handlers )
   in
   let b =
-    backend eng ~fab ~wm_wake ~overlay_core ~overlay_perf ~est_table ~policy
-      ~n_pes:(Array.length handlers) ~stats ~obs
+    backend d ~prng ~jitter:params.jitter ~bus ~hop_ns
+      ~overlay_perf:config.Config.host.Host.overlay.Host.core_class.Pe.perf_factor ~est_table
+      ~policy ~n_pes:(Array.length handlers) ~stats ~obs
   in
   {
-    pr_eng = eng;
+    pr_des = d;
+    pr_prng = prng;
     pr_instances = instances;
     pr_handlers = handlers;
     pr_est_table = est_table;
     pr_stats = stats;
     pr_fault = fault;
-    pr_fabric_counters = fabric_counters;
     pr_b = b;
   }
+
+(* Resource manager i is thread i, the workload manager is [Des.wm]. *)
+let run_prepared p ~obs ?service ~policy () =
+  let { pr_handlers = handlers; pr_est_table = est_table; pr_fault = fault; pr_b = b; _ } = p in
+  let rm h () = Core.resource_manager ~obs ~fault ~est_table b h in
+  let wm () =
+    Core.workload_manager ~obs ~fault ?service b ~handlers ~instances:p.pr_instances
+      ~est_table ~policy ~prng:p.pr_prng ~stats:p.pr_stats
+  in
+  run_threads p.pr_des (Array.append (Array.map rm handlers) [| wm |])
 
 let run_detailed ?(params = default_params) ?(obs = Obs.disabled) ?fault
     ~(config : Config.t) ~(workload : Workload.t) ~(policy : Scheduler.policy) () =
@@ -526,21 +247,11 @@ let run_detailed ?(params = default_params) ?(obs = Obs.disabled) ?fault
     prepare ~params ~obs ~engine_name:"Virtual_engine.run" ~clock0:0
       ~prng:(Prng.create ~seed:params.seed) ?fault ~config ~workload ~policy ()
   in
-  let { pr_eng = eng; pr_instances = instances; pr_handlers = handlers; pr_fault = fault; _ } =
-    p
-  in
-  Array.iter
-    (fun h ->
-      spawn eng (fun () ->
-          Core.resource_manager ~obs ~fault ~est_table:p.pr_est_table p.pr_b h))
-    handlers;
-  spawn eng (fun () ->
-      Core.workload_manager ~obs ~fault p.pr_b ~handlers ~instances
-        ~est_table:p.pr_est_table ~policy ~prng:eng.prng ~stats:p.pr_stats);
-  run_loop eng;
-  ( Core.report ~host_name:config.Config.host.Host.name ~config ~policy ~handlers
-      ~instances ~stats:p.pr_stats ~fabric:p.pr_fabric_counters,
-    instances )
+  run_prepared p ~obs ~policy ();
+  ( Core.report ~host_name:config.Config.host.Host.name ~config ~policy
+      ~handlers:p.pr_handlers ~instances:p.pr_instances ~stats:p.pr_stats
+      ~fabric:(Des.fabric_counters p.pr_des),
+    p.pr_instances )
 
 let run ?params ?obs ?fault ~config ~workload ~policy () =
   fst (run_detailed ?params ?obs ?fault ~config ~workload ~policy ())
@@ -577,7 +288,7 @@ let run_service ?(params = default_params) ?(obs = Obs.disabled) ?resume
     prepare ~params ~obs ~engine_name:"Virtual_engine.run_service" ~clock0 ~prng
       ~config ~workload ~policy ()
   in
-  let { pr_eng = eng; pr_instances = instances; pr_handlers = handlers; _ } = p in
+  let { pr_instances = instances; pr_handlers = handlers; _ } = p in
   (match resume with
   | None -> ()
   | Some r ->
@@ -591,20 +302,12 @@ let run_service ?(params = default_params) ?(obs = Obs.disabled) ?resume
         h.Core.h_tasks_run <- s.hs_tasks_run)
       handlers);
   let service = { (service instances) with Core.sv_resume = Option.is_some resume } in
-  Array.iter
-    (fun h ->
-      spawn eng (fun () ->
-          Core.resource_manager ~obs ~est_table:p.pr_est_table p.pr_b h))
-    handlers;
-  spawn eng (fun () ->
-      Core.workload_manager ~obs ~service p.pr_b ~handlers ~instances
-        ~est_table:p.pr_est_table ~policy ~prng:eng.prng ~stats:p.pr_stats);
-  run_loop eng;
+  run_prepared p ~obs ~service ~policy ();
   {
     sr_instances = instances;
     sr_stats = p.pr_stats;
-    sr_fabric = p.pr_fabric_counters;
-    sr_prng = Prng.state eng.prng;
+    sr_fabric = Des.fabric_counters p.pr_des;
+    sr_prng = Prng.state p.pr_prng;
     sr_handlers =
       Array.map
         (fun h ->

@@ -25,9 +25,14 @@
     the seed.
 
     The workload-manager and resource-handler protocol itself lives in
-    {!Engine_core}; this module only supplies the discrete-event
-    backend (clock, effect threads, processor-shared host cores,
-    modelled overhead charging). *)
+    {!Engine_core}, and the clock, event heap, processor-shared host
+    cores and fabric link live in {!Des}, the substrate the compiled
+    engine runs on too.  This module supplies the backend between
+    them: each manager thread is a direct-style effect thread whose
+    blocking operations are four effects ([Work], [Stream], [Sleep],
+    [Await]) carrying its thread id — resource manager [i] is thread
+    [i], the workload manager thread [n_pes] — handed to {!Des}, plus
+    the modelled overhead charging. *)
 
 type params = Engine_core.params = {
   seed : int64;

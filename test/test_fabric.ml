@@ -166,9 +166,10 @@ let run_compiled ?(jitter = 0.03) ?(depth = 0) ~policy ~config ~wl () =
 
 (* ---------------- contended differential matrix ---------------- *)
 
-(* Three contention shapes: a saturating two-accelerator mix behind a
+(* Four contention shapes: a saturating two-accelerator mix behind a
    starved single-entry FIFO, the fig9-style mix on the default bus,
-   and a hop-latency-dominated bus with a small FIFO. *)
+   a hop-latency-dominated bus with a small FIFO, and the same on a
+   2x2 mesh, where each PE pays its own Manhattan hop count. *)
 let contended_scenarios =
   [
     ( "two-fft-saturated",
@@ -190,6 +191,13 @@ let contended_scenarios =
       fun () ->
         Workload.validation
           [ (Reference_apps.range_detection (), 2); (Reference_apps.wifi_rx (), 1) ] );
+    ( "mesh-hops",
+      (fun () -> Config.zcu102_cores_ffts ~cores:2 ~ffts:2),
+      fabric_of "bus:bw=500MB/s,fifo=2,hop=100ns,hops=mesh2x2",
+      fun () ->
+        Workload.validation
+          [ (Reference_apps.pulse_doppler (), 1); (Reference_apps.range_detection (), 2);
+            (Reference_apps.wifi_rx (), 1) ] );
   ]
 
 let matrix_policies = [ "FRFS"; "MET"; "EFT"; "RANDOM"; "POWER" ]
@@ -343,24 +351,31 @@ let test_saturated_bus_stalls_and_slows () =
     true
     (contended.Stats.makespan_ns > ideal.Stats.makespan_ns)
 
-let test_mesh_topology_virtual_only () =
-  let config =
-    Config.with_fabric (fabric_of "bus:bw=500MB/s,hop=100ns,hops=mesh2x2")
-      (Config.zcu102_cores_ffts ~cores:2 ~ffts:2)
+let test_mesh_topology_both_engines () =
+  (* Mesh hops are priced per PE, so PEs further from the origin pay
+     more: the same run on a crossbar must finish no later. *)
+  let run spec engine =
+    let config =
+      Config.with_fabric (fabric_of spec) (Config.zcu102_cores_ffts ~cores:2 ~ffts:2)
+    in
+    match
+      Emulator.run ~engine ~config
+        ~workload:(Workload.validation [ (Reference_apps.range_detection (), 1) ])
+        ()
+    with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "%s rejected: %s" spec e
   in
-  let wl () = Workload.validation [ (Reference_apps.range_detection (), 1) ] in
-  (match
-     Emulator.run ~engine:(Emulator.virtual_seeded 7L) ~config ~workload:(wl ()) ()
-   with
-  | Ok r -> Alcotest.(check bool) "virtual prices mesh hops" true (r.Stats.makespan_ns > 0)
-  | Error e -> Alcotest.failf "virtual rejected mesh fabric: %s" e);
-  match
-    Emulator.run ~engine:(Emulator.compiled_seeded 7L) ~config ~workload:(wl ()) ()
-  with
-  | Error msg ->
-    Alcotest.(check bool) "compiled names the lowering limit" true
-      (String.length msg > 0)
-  | Ok _ -> Alcotest.fail "compiled engine accepted a mesh fabric"
+  let mesh = "bus:bw=500MB/s,hop=100ns,hops=mesh2x2" in
+  let v = run mesh (Emulator.virtual_seeded 7L) in
+  let c = run mesh (Emulator.compiled_seeded 7L) in
+  Alcotest.(check string) "compiled replays the mesh run" (Stats.records_csv v)
+    (Stats.records_csv c);
+  let xbar = run "bus:bw=500MB/s,hop=100ns" (Emulator.virtual_seeded 7L) in
+  Alcotest.(check bool)
+    (Printf.sprintf "mesh %d ns >= crossbar %d ns" v.Stats.makespan_ns xbar.Stats.makespan_ns)
+    true
+    (v.Stats.makespan_ns >= xbar.Stats.makespan_ns)
 
 (* ---------------- random-DAG properties ---------------- *)
 
@@ -505,8 +520,8 @@ let () =
         [
           Alcotest.test_case "saturated bus stalls and slows" `Quick
             test_saturated_bus_stalls_and_slows;
-          Alcotest.test_case "mesh topology: virtual yes, compiled no" `Quick
-            test_mesh_topology_virtual_only;
+          Alcotest.test_case "mesh topology runs on both engines" `Quick
+            test_mesh_topology_both_engines;
         ] );
       ( "properties",
         [ qtest qcheck_ideal_replays_legacy; qtest qcheck_contended_replay_and_fifo_bound ] );

@@ -962,6 +962,175 @@ let test_builtin_scan_allocation_bounded () =
         true (full <= 64))
     [ Scheduler.frfs; Scheduler.eft ]
 
+(* ---------------------- Des ---------------------- *)
+
+module Des = Dssoc_runtime.Des
+
+(* A substrate with [n] threads (thread [n - 1] is the WM) sharing one
+   host core whose contention factor is [rate1]. *)
+let des_make ?(obs = Dssoc_obs.Obs.disabled) ?(fabric = Dssoc_soc.Fabric.Ideal) ?(rate1 = 1.0) n
+    =
+  Des.create ~obs ~clock0:0
+    { Des.core_of_pe = Array.make (n - 1) 0; rate1 = [| rate1 |] }
+    fabric
+
+(* Run [step th] at every start and resume of every thread, logging
+   (thread, clock) in the order the loop hands them out. *)
+let des_run d n step =
+  let log = ref [] in
+  let go th =
+    log := (th, d.Des.now) :: !log;
+    step th
+  in
+  for th = 0 to n - 1 do
+    Des.spawn d th
+  done;
+  Des.run d ~start:go ~resume:go;
+  List.rev !log
+
+(* Reference model of the loop: a (time, seq)-ordered set, pushes
+   below the clock clamped to it, and the two events an [await] costs
+   (its deadline, then a resume at the deadline's pop time). *)
+module Ev = Set.Make (struct
+  type t = int * int * int * int (* time, seq, kind (0 run, 1 deadline), thread *)
+
+  let compare = compare
+end)
+
+let des_reference scripts =
+  let scripts = Array.copy scripts in
+  let evs = ref Ev.empty and now = ref 0 and seq = ref 0 and log = ref [] in
+  let push t k th =
+    evs := Ev.add (max t !now, !seq, k, th) !evs;
+    incr seq
+  in
+  Array.iteri (fun th _ -> push 0 0 th) scripts;
+  while not (Ev.is_empty !evs) do
+    let ((t, _, k, th) as e) = Ev.min_elt !evs in
+    evs := Ev.remove e !evs;
+    now := max !now t;
+    if k = 1 then push !now 0 th
+    else begin
+      log := (th, !now) :: !log;
+      match scripts.(th) with
+      | dl :: rest ->
+        scripts.(th) <- rest;
+        push dl 1 th
+      | [] -> ()
+    end
+  done;
+  List.rev !log
+
+let prop_des_heap_order =
+  QCheck.Test.make ~name:"events drain in (time, push order), late pushes clamped" ~count:25
+    QCheck.(pair (int_range 2 1400) int)
+    (fun (n, seed) ->
+      (* Absolute deadlines in a narrow range: many ties, and many
+         below the clock by the time they are pushed.  More than 1024
+         threads outgrow the heap's initial capacity at start-up. *)
+      let rs = Random.State.make [| seed |] in
+      let scripts =
+        Array.init n (fun _ -> List.init (Random.State.int rs 4) (fun _ -> Random.State.int rs 40))
+      in
+      let d = des_make n in
+      let pending = Array.copy scripts in
+      let got =
+        des_run d n (fun th ->
+            match pending.(th) with
+            | dl :: rest ->
+              pending.(th) <- rest;
+              if not (Des.await d ~deadline:dl th) then failwith "await did not suspend"
+            | [] -> ())
+      in
+      got = des_reference scripts && Des.pending_events d = 0)
+
+let test_des_shared_core () =
+  (* quantum 3000, switch 1000: rate1 = 0.75 exactly.  Two 1000 ns
+     jobs arriving together each progress at 0.75 / 2, so both end at
+     ceil(2 * 1000 * 4000 / 3000) = 2667. *)
+  let q = 3000 and sw = 1000 and ns = 1000 in
+  let d = des_make ~rate1:(float_of_int q /. float_of_int (q + sw)) 3 in
+  let started = Array.make 3 false in
+  let log =
+    des_run d 2 (fun th ->
+        if not started.(th) then begin
+          started.(th) <- true;
+          if not (Des.work d th ns) then Alcotest.fail "work did not suspend"
+        end)
+  in
+  let expect = ((2 * ns * (q + sw)) + q - 1) / q in
+  Alcotest.(check int) "ceil(2 ns (q+s) / q)" 2667 expect;
+  Alcotest.(check (list (pair int int))) "both jobs finish together"
+    [ (0, 0); (1, 0); (0, expect); (1, expect) ]
+    log;
+  Alcotest.(check bool) "zero work does not suspend" false (Des.work d 0 0)
+
+let test_des_conditions () =
+  let d = des_make 3 in
+  let step = Array.make 3 0 in
+  Des.signal d 2;
+  let log =
+    des_run d 3 (fun th ->
+        let k = step.(th) in
+        step.(th) <- k + 1;
+        match (th, k) with
+        | 0, 0 ->
+          (* Woken by thread 1's signal at 10; the deadline at 100 it
+             leaves behind must not cut the 200 ns sleep short. *)
+          Alcotest.(check bool) "awaits" true (Des.await d ~deadline:100 0)
+        | 0, 1 -> Alcotest.(check bool) "sleeps" true (Des.sleep d 0 200)
+        | 1, 0 -> Alcotest.(check bool) "sleeps" true (Des.sleep d 1 10)
+        | 1, 1 -> Des.signal d 0
+        | 2, 0 ->
+          Alcotest.(check bool) "pending signal consumed without suspending" false
+            (Des.await d 2);
+          Alcotest.(check bool) "consumed: the next await suspends" true
+            (Des.await d ~deadline:5 2)
+        | _ -> ())
+  in
+  Alcotest.(check (list (pair int int))) "resume order and times"
+    [ (0, 0); (1, 0); (2, 0); (2, 5); (1, 10); (0, 10); (0, 210) ]
+    log
+
+let test_des_fabric_stall () =
+  let module Obs = Dssoc_obs.Obs in
+  let fabric =
+    match Dssoc_soc.Fabric.of_spec "bus:fifo=1" with Ok f -> f | Error e -> Alcotest.fail e
+  in
+  let metrics = Obs.Metrics.create () in
+  let obs = Obs.make ~sink:(Obs.Sink.ring ~capacity:64 ()) ~metrics () in
+  let d = des_make ~obs ~fabric 3 in
+  let started = Array.make 3 false in
+  let log =
+    des_run d 2 (fun th ->
+        if not started.(th) then begin
+          started.(th) <- true;
+          ignore (Des.stream d th ~bytes:(1000 * (th + 1)) (if th = 0 then 100 else 50))
+        end)
+  in
+  Alcotest.(check (list (pair int int))) "second stream waits for the slot"
+    [ (0, 0); (1, 0); (0, 100); (1, 150) ]
+    log;
+  let c = Des.fabric_counters d in
+  Alcotest.(check (list int)) "streams, stalls, stall ns, peak in flight" [ 2; 1; 100; 1 ]
+    [
+      c.Dssoc_runtime.Engine_core.fc_streams;
+      c.Dssoc_runtime.Engine_core.fc_stalls;
+      c.Dssoc_runtime.Engine_core.fc_stall_ns;
+      c.Dssoc_runtime.Engine_core.fc_max_inflight;
+    ];
+  let stalls =
+    List.filter_map
+      (fun (e : Obs.event) ->
+        match e.Obs.body with
+        | Obs.Stream_admitted { pe_index; stall_ns; _ } -> Some (e.Obs.t_ns, pe_index, stall_ns)
+        | _ -> None)
+      (Obs.recorded_events obs)
+  in
+  Alcotest.(check (list (triple int int int))) "stall_ns = admit - request"
+    [ (0, 0, 0); (100, 1, 100) ]
+    stalls
+
 let () =
   Alcotest.run "runtime"
     [
@@ -1020,6 +1189,13 @@ let () =
           Alcotest.test_case "energy accounting" `Quick test_energy_accounting;
           Alcotest.test_case "chrome trace" `Quick test_chrome_trace;
           Alcotest.test_case "gantt" `Quick test_gantt_renders;
+        ] );
+      ( "des",
+        [
+          qtest prop_des_heap_order;
+          Alcotest.test_case "equal jobs share a core" `Quick test_des_shared_core;
+          Alcotest.test_case "pending signals and stale deadlines" `Quick test_des_conditions;
+          Alcotest.test_case "fifo stall accounting" `Quick test_des_fabric_stall;
         ] );
       ( "native_engine",
         [

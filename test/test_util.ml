@@ -1,5 +1,4 @@
 module Prng = Dssoc_util.Prng
-module Heap = Dssoc_util.Heap
 module Vec = Dssoc_util.Vec
 module Time_ns = Dssoc_util.Time_ns
 
@@ -103,95 +102,6 @@ let test_choose () =
   Alcotest.check_raises "empty choice" (Invalid_argument "Prng.choose: empty array") (fun () ->
       ignore (Prng.choose g [||]))
 
-let test_heap_basic () =
-  let h = Heap.create ~cmp:compare in
-  Alcotest.(check bool) "empty" true (Heap.is_empty h);
-  List.iter (Heap.push h) [ 5; 1; 4; 1; 3 ];
-  Alcotest.(check int) "length" 5 (Heap.length h);
-  Alcotest.(check (option int)) "peek min" (Some 1) (Heap.peek h);
-  Alcotest.(check (list int)) "drain sorted" [ 1; 1; 3; 4; 5 ] (Heap.drain h);
-  Alcotest.(check bool) "drained empty" true (Heap.is_empty h)
-
-let test_heap_fifo_ties () =
-  let h = Heap.create ~cmp:(fun (a, _) (b, _) -> compare a b) in
-  List.iter (Heap.push h) [ (1, "a"); (0, "x"); (1, "b"); (1, "c") ];
-  Alcotest.(check (list string)) "fifo among equals" [ "x"; "a"; "b"; "c" ]
-    (List.map snd (Heap.drain h))
-
-let test_heap_pop_exn () =
-  let h = Heap.create ~cmp:compare in
-  Alcotest.check_raises "pop empty" (Invalid_argument "Heap.pop_exn: empty heap") (fun () ->
-      ignore (Heap.pop_exn h))
-
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap drain = sorted input" ~count:300 QCheck.(list int) (fun l ->
-      let h = Heap.create ~cmp:compare in
-      List.iter (Heap.push h) l;
-      Heap.drain h = List.sort compare l)
-
-let test_heap_pop_releases_values () =
-  (* Popping must not keep values reachable through the backing array
-     (the event loop pops continuously; retained closures would pin
-     every completed event's captured state).  Two historical leaks:
-     popping the last element left it in slot 0, and the swap in [pop]
-     left a stale duplicate of the moved entry in the vacated tail
-     slot. *)
-  let h = Heap.create ~cmp:(fun (a, _) (b, _) -> compare a b) in
-  let probe = Weak.create 2 in
-  Heap.push h (1, ref 42);
-  Heap.push h (2, ref 43);
-  (match Heap.pop h with
-  | Some (_, r) -> Weak.set probe 0 (Some r)
-  | None -> Alcotest.fail "pop returned None");
-  (* Second pop empties the heap: the entry that was swapped into the
-     root (and its stale tail copy) must both be cleared. *)
-  (match Heap.pop h with
-  | Some (k, r) ->
-    Alcotest.(check int) "fifo order intact" 2 k;
-    Weak.set probe 1 (Some r)
-  | None -> Alcotest.fail "pop returned None");
-  Gc.full_major ();
-  Gc.full_major ();
-  Alcotest.(check bool) "first value collected" false (Weak.check probe 0);
-  Alcotest.(check bool) "last value collected" false (Weak.check probe 1);
-  Alcotest.(check bool) "heap still usable" true (Heap.is_empty h);
-  Heap.push h (9, ref 0);
-  Alcotest.(check int) "push after clearing works" 9 (fst (Heap.pop_exn h))
-
-let prop_heap_structural_invariants =
-  (* [Heap.invariants_ok] is the checkable form of the structural
-     contract behind [length]/[is_empty] (which the observability
-     gauge sampler reads mid-run): after every push/pop the backing
-     array is heap-ordered, tie-break sequence numbers are unique,
-     vacated slots are cleared, and [length] tracks the live count. *)
-  QCheck.Test.make ~name:"structural invariants under interleaved ops" ~count:200
-    QCheck.(list (pair bool small_int))
-    (fun ops ->
-      let h = Heap.create ~cmp:compare in
-      let live = ref 0 in
-      List.for_all
-        (fun (is_pop, v) ->
-          if is_pop then (match Heap.pop h with Some _ -> decr live | None -> ())
-          else begin
-            Heap.push h v;
-            incr live
-          end;
-          Heap.invariants_ok h
-          && Heap.length h = !live
-          && Heap.is_empty h = (!live = 0))
-        ops)
-
-let prop_heap_invariant_after_ops =
-  QCheck.Test.make ~name:"heap invariant under interleaved ops" ~count:200
-    QCheck.(list (pair bool small_int))
-    (fun ops ->
-      let h = Heap.create ~cmp:compare in
-      List.iter
-        (fun (is_pop, v) -> if is_pop then ignore (Heap.pop h) else Heap.push h v)
-        ops;
-      let rest = Heap.drain h in
-      rest = List.sort compare rest)
-
 let test_vec_basic () =
   let v = Vec.create () in
   Alcotest.(check bool) "empty" true (Vec.is_empty v);
@@ -264,16 +174,6 @@ let () =
           qtest prop_int_in_bounds;
           qtest prop_float_range;
           qtest prop_shuffle_permutation;
-        ] );
-      ( "heap",
-        [
-          Alcotest.test_case "basic" `Quick test_heap_basic;
-          Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties;
-          Alcotest.test_case "pop_exn" `Quick test_heap_pop_exn;
-          Alcotest.test_case "pop releases values" `Quick test_heap_pop_releases_values;
-          qtest prop_heap_sorts;
-          qtest prop_heap_invariant_after_ops;
-          qtest prop_heap_structural_invariants;
         ] );
       ( "vec",
         [
